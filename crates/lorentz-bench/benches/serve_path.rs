@@ -5,8 +5,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lorentz_bench::bench_fleet;
 use lorentz_core::store::PublishBatch;
 use lorentz_core::{
-    LorentzConfig, LorentzPipeline, ModelKind, RecommendRequest, ShardedPredictionStore,
-    SharedPredictionStore, TrainedLorentz,
+    LiveModel, LorentzConfig, LorentzPipeline, ModelKind, RecommendEngine, RecommendRequest,
+    ShardedPredictionStore, StoreOnly, TrainedLorentz,
 };
 use lorentz_types::{FeatureId, ResourcePath, ServerOffering, StoreKey, ValueId};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -90,29 +90,31 @@ fn bench_recommend(c: &mut Criterion) {
         })
     });
     c.bench_function("serve/recommend_batch_256", |b| {
-        b.iter(|| trained.recommend_batch(black_box(&requests), ModelKind::Hierarchical))
+        let engine = LiveModel::new(&trained, ModelKind::Hierarchical, None);
+        b.iter(|| engine.recommend_many(black_box(&requests)))
     });
 }
 
 fn bench_recommend_store_path(c: &mut Criterion) {
     let (trained, owned) = serving_fixture();
     let requests = borrow(&owned);
+    let engine = StoreOnly::new(&trained, trained.store(), None);
     c.bench_function("serve/store_single_x256", |b| {
         b.iter(|| {
             for r in &requests {
-                let _ = black_box(trained.recommend_from_store(black_box(r)));
+                let _ = black_box(engine.recommend_one(black_box(r)));
             }
         })
     });
     c.bench_function("serve/store_batch_256", |b| {
-        b.iter(|| trained.recommend_batch_from_store(black_box(&requests)))
+        b.iter(|| engine.recommend_many(black_box(&requests)))
     });
 }
 
-/// The hot-swap read path: snapshot capture (`Arc` clone) + packed probe,
-/// both on a quiet store and while a publisher republishes continuously —
-/// the latter demonstrates that reads proceed during concurrent publish
-/// instead of waiting for writers to drain.
+/// The hot-swap read path on a one-shard store: snapshot capture (`Arc`
+/// clone) + packed probe, both on a quiet store and while a publisher
+/// republishes continuously — the latter demonstrates that reads proceed
+/// during concurrent publish instead of waiting for writers to drain.
 fn bench_hot_swap_snapshot(c: &mut Criterion) {
     let n_keys = 8usize;
     let batch = PublishBatch {
@@ -128,9 +130,9 @@ fn bench_hot_swap_snapshot(c: &mut Criterion) {
     };
     let levels: Vec<(FeatureId, ValueId)> =
         (0..n_keys).map(|i| (FeatureId(i), ValueId(0))).collect();
-    let shared = Arc::new(SharedPredictionStore::new());
+    let shared = Arc::new(ShardedPredictionStore::new(1).unwrap());
     shared.publish(batch.clone()).unwrap();
-    c.bench_function("serve/shared_snapshot_lookup", |b| {
+    c.bench_function("serve/one_shard_snapshot_lookup", |b| {
         b.iter(|| {
             shared
                 .snapshot()

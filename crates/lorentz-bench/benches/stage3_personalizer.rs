@@ -1,11 +1,13 @@
 //! Stage-3 kernels: Algorithm-1 signal propagation across customer
 //! profiles of varying size (up to the 10k-profile fan-out), the Eq. 14
 //! adjustment, and λ-snapshot lookups racing a live publisher — the
-//! machinery behind Figures 13 and 14 and the online feedback path.
-//! `BENCH_stage3.json` at the repo root pins the baseline numbers.
+//! machinery behind Figures 13 and 14 and the online feedback path. The
+//! λ-store kernels run on a one-shard [`ShardedLambdaStore`], the
+//! follower's configuration. `BENCH_stage3.json` at the repo root pins the
+//! baseline numbers.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use lorentz_core::{LambdaStore, Personalizer, PersonalizerConfig, SatisfactionSignal};
+use lorentz_core::{Personalizer, PersonalizerConfig, SatisfactionSignal, ShardedLambdaStore};
 use lorentz_types::{
     CustomerId, ResourceGroupId, ResourcePath, ServerOffering, SkuCatalog, SubscriptionId,
 };
@@ -77,16 +79,14 @@ fn bench_signal_publish(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{total}_profiles")),
             &(fillers, rgs),
             |b, &(fillers, rgs)| {
-                let store = LambdaStore::new(build_fleet_personalizer(fillers, rgs));
-                let signal = SatisfactionSignal::new(
-                    ResourcePath::new(CustomerId(1), SubscriptionId(0), ResourceGroupId(0)),
-                    ServerOffering::GeneralPurpose,
-                    1.0,
-                )
-                .unwrap();
+                let store =
+                    ShardedLambdaStore::new(build_fleet_personalizer(fillers, rgs), 1).unwrap();
+                let path = ResourcePath::new(CustomerId(1), SubscriptionId(0), ResourceGroupId(0));
+                let signal =
+                    SatisfactionSignal::new(path, ServerOffering::GeneralPurpose, 1.0).unwrap();
                 b.iter(|| {
                     store.apply_signal(black_box(&signal));
-                    store.publish();
+                    store.publish_delta_for(&path);
                 });
             },
         );
@@ -112,12 +112,12 @@ fn bench_adjust(c: &mut Criterion) {
 }
 
 fn bench_lambda_lookup(c: &mut Criterion) {
-    let store = Arc::new(LambdaStore::new(build_personalizer(100, 100)));
+    let store = Arc::new(ShardedLambdaStore::new(build_personalizer(100, 100), 1).unwrap());
     let hot = ResourcePath::new(CustomerId(1), SubscriptionId(0), ResourceGroupId(0));
     c.bench_function("stage3/lambda_snapshot_lookup", |b| {
         b.iter(|| {
             store
-                .snapshot()
+                .snapshot_for(black_box(&hot))
                 .lambda(black_box(&hot), ServerOffering::GeneralPurpose)
         })
     });
@@ -132,14 +132,14 @@ fn bench_lambda_lookup(c: &mut Criterion) {
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 store.apply_signal(&signal);
-                store.publish();
+                store.publish_delta_for(&hot);
             }
         })
     };
     c.bench_function("stage3/lambda_lookup_during_publish", |b| {
         b.iter(|| {
             store
-                .snapshot()
+                .snapshot_for(black_box(&hot))
                 .lambda(black_box(&hot), ServerOffering::GeneralPurpose)
         })
     });

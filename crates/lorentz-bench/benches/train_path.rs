@@ -29,8 +29,11 @@ fn quick_config() -> LorentzConfig {
     config
 }
 
-/// Sequential row-oriented Stage-1: the pre-columnar baseline, kept
-/// benchmarked so every run reports a live before/after pair.
+/// Sequential per-trace Stage-1 through the public one-trace entry point:
+/// `Rightsizer::rightsize` packs each trace and runs the columnar optimizer
+/// with fresh buffers. The fleet sweep below differs only in reusing one
+/// pack buffer and one scratch per worker. The name is kept so the pinned
+/// pre-columnar `train/stage1_row` median stays comparable.
 fn stage1_row(c: &mut Criterion) {
     let mut group = c.benchmark_group("train/stage1_row");
     group.sample_size(10);
@@ -56,7 +59,7 @@ fn stage1_row(c: &mut Criterion) {
     group.finish();
 }
 
-/// One columnar Stage-1 sweep, packing included — the same work
+/// One Stage-1 sweep, per-trace packing included — the same work
 /// [`LorentzPipeline::train`] performs for Stage 1 at the given thread
 /// count (`0` = one worker per core).
 fn columnar_sweep(
@@ -66,7 +69,6 @@ fn columnar_sweep(
     max_threads: usize,
 ) -> Vec<f64> {
     let n = fleet.len();
-    let columns = TraceColumns::from_traces(fleet.traces());
     let threads = if max_threads == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -78,19 +80,20 @@ fn columnar_sweep(
     .max(1);
     let chunk = n.div_ceil(threads);
     std::thread::scope(|scope| {
-        let columns = &columns;
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 scope.spawn(move || {
                     let lo = w * chunk;
                     let hi = ((w + 1) * chunk).min(n);
                     let mut scratch = Stage1Scratch::default();
+                    let mut one = TraceColumns::from_traces(&[]);
                     (lo..hi)
                         .map(|i| {
                             let catalog = &catalogs[fleet.offerings()[i] as usize];
+                            one.pack_one(&fleet.traces()[i]);
                             sizer
                                 .rightsize_columns(
-                                    columns.trace(i),
+                                    one.trace(0),
                                     &fleet.user_capacities()[i],
                                     catalog,
                                     &mut scratch,

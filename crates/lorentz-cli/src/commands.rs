@@ -7,8 +7,8 @@ use lorentz_core::provisioner::{OfferingRecommender, OfferingRecommenderConfig};
 use lorentz_core::retry::RetryPolicy;
 use lorentz_core::store::atomic_write;
 use lorentz_core::{
-    DurableStore, FleetDataset, LorentzConfig, LorentzPipeline, ModelKind, RecommendRequest,
-    Rightsizer, SatisfactionSignal, TrainedLorentz,
+    DurableStore, FleetDataset, LiveModel, LorentzConfig, LorentzPipeline, ModelKind,
+    RecommendEngine, RecommendRequest, Rightsizer, SatisfactionSignal, StoreOnly, TrainedLorentz,
 };
 use lorentz_serve::{
     serve_net, serve_replication, FollowerConfig, FollowerEngine, NetConfig, PromoteConfig,
@@ -427,9 +427,13 @@ fn recommend_batch(
         })
         .collect();
     let results = match args.get_or("source", "hierarchical") {
-        "hierarchical" => trained.recommend_batch(&requests, ModelKind::Hierarchical),
-        "target-encoding" => trained.recommend_batch(&requests, ModelKind::TargetEncoding),
-        "store" => trained.recommend_batch_from_store(&requests),
+        "hierarchical" => {
+            LiveModel::new(trained, ModelKind::Hierarchical, None).recommend_many(&requests)
+        }
+        "target-encoding" => {
+            LiveModel::new(trained, ModelKind::TargetEncoding, None).recommend_many(&requests)
+        }
+        "store" => StoreOnly::new(trained, trained.store(), None).recommend_many(&requests),
         other => return Err(CliError::Usage(format!("unknown source '{other}'"))),
     };
     if args.has_switch("json") {
@@ -481,7 +485,7 @@ pub fn recommend(args: &Args) -> Result<(), CliError> {
     let rec = match args.get_or("source", "hierarchical") {
         "hierarchical" => trained.recommend(&request, ModelKind::Hierarchical),
         "target-encoding" => trained.recommend(&request, ModelKind::TargetEncoding),
-        "store" => trained.recommend_from_store(&request),
+        "store" => StoreOnly::new(&trained, trained.store(), None).recommend_one(&request),
         other => return Err(CliError::Usage(format!("unknown source '{other}'"))),
     }?;
     if args.has_switch("json") {
@@ -602,13 +606,7 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     let text = fs::read_to_string(requests_path).map_err(|e| CliError::io(requests_path, e))?;
     let lines = parse_serve_lines(&text, requests_path, deployment.profiles().schema())?;
     if let Some(spec) = args.get("follow") {
-        let (endpoint, deprecated) = Endpoint::parse_compat(spec)?;
-        if deprecated {
-            eprintln!(
-                "warning: bare-path --follow is deprecated; write --follow file:{spec} \
-                 (tcp://HOST:PORT subscribes to a leader's --replicate-listen)"
-            );
-        }
+        let endpoint = Endpoint::parse(spec)?;
         return serve_follow(args, deployment, lines, kind, &endpoint);
     }
     let total = lines
@@ -967,11 +965,11 @@ fn serve_follow(
         String::new()
     };
     eprintln!(
-        "followed {endpoint}: {} deltas applied, {} skipped, {} legacy signals \
+        "followed {endpoint}: {} deltas applied, {} skipped \
          (lambda v{lambda_version}, last epoch {}); served {served} requests, \
          {feedback_rejected} feedback rejected (read-only){applied_note}; \
          state {state_label}, term {term}, {} duplicates",
-        stats.applied, stats.skipped, stats.legacy, stats.last_epoch, stats.duplicates
+        stats.applied, stats.skipped, stats.last_epoch, stats.duplicates
     );
     write_metrics(args)
 }
@@ -984,16 +982,13 @@ pub fn wal_verify(args: &Args) -> Result<(), CliError> {
     let wal_path = args.require("wal")?;
     let report = lorentz_core::SignalWal::verify(wal_path)?;
     for r in &report.records {
-        match (&r.signal, r.term) {
-            (Some(s), _) => {
-                let framing = match r.epoch {
-                    Some(epoch) => format!("epoch {epoch}, {} delta keys", r.delta_keys),
-                    None => "legacy bare signal".to_owned(),
-                };
+        match (&r.signal, r.epoch, r.term) {
+            (Some(s), Some(epoch), _) => {
                 println!(
-                    "record {} @ {}: OK — {framing}; signal {}|{}|{} {} γ{:+}",
+                    "record {} @ {}: OK — epoch {epoch}, {} delta keys; signal {}|{}|{} {} γ{:+}",
                     r.index,
                     r.offset,
+                    r.delta_keys,
                     s.path.customer.0,
                     s.path.subscription.0,
                     s.path.resource_group.0,
@@ -1001,13 +996,13 @@ pub fn wal_verify(args: &Args) -> Result<(), CliError> {
                     s.gamma
                 );
             }
-            (None, Some(term)) => {
+            (_, _, Some(term)) => {
                 println!(
                     "record {} @ {}: OK — term marker (leader term {term})",
                     r.index, r.offset
                 );
             }
-            (None, None) => {
+            _ => {
                 println!("record {} @ {}: OK — empty record", r.index, r.offset);
             }
         }
@@ -1616,16 +1611,21 @@ mod tests {
         // the same WAL and serves from the replicated epochs.
         wal_verify(&args(&["wal-verify", "--wal", &wal_path])).unwrap();
         assert!(wal_verify(&args(&["wal-verify"])).is_err()); // missing --wal
-        serve(&args(&[
-            "serve",
-            "--model",
-            &model_path,
-            "--requests",
-            &stream_path,
-            "--follow",
-            &wal_path,
-        ]))
-        .unwrap();
+        let follow = |spec: &str| {
+            serve(&args(&[
+                "serve",
+                "--model",
+                &model_path,
+                "--requests",
+                &stream_path,
+                "--follow",
+                spec,
+            ]))
+        };
+        follow(&format!("file:{wal_path}")).unwrap();
+        // A bare path is not an endpoint: the scheme is required.
+        let bare = follow(&wal_path).unwrap_err();
+        assert!(bare.to_string().contains("has no scheme"), "{bare}");
 
         for p in [
             &fleet_path,

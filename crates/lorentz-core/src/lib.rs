@@ -48,9 +48,9 @@ pub use cost::{bill_fleet, CostModel, FleetBill};
 pub use explain::{Explanation, Recommendation};
 pub use fleet::FleetDataset;
 pub use personalizer::{
-    LambdaEpoch, LambdaSnapshot, LambdaStore, Personalizer, PersonalizerConfig, PollBackoff,
-    SatisfactionSignal, ShardedLambdaStore, SignalWal, TermRecord, WalEntry, WalRecord,
-    WalRecovery, WalReplay, WalTailer, WalVerifyReport,
+    LambdaEpoch, LambdaSnapshot, Personalizer, PersonalizerConfig, PollBackoff, SatisfactionSignal,
+    ShardedLambdaStore, SignalWal, TermRecord, WalEntry, WalRecord, WalRecovery, WalReplay,
+    WalTailer, WalVerifyReport,
 };
 pub use pipeline::{
     LiveModel, LorentzPipeline, ModelKind, RecommendEngine, RecommendRequest, StoreOnly,
@@ -65,6 +65,6 @@ pub use retry::{is_transient_io, retry_with_backoff, RetryPolicy};
 pub use rightsizer::{ProvisioningVerdict, RightsizeOutcome, Rightsizer, Stage1Scratch};
 pub use store::{
     DurableStore, PredictionStore, RecoveredStore, ShardedPredictionStore, ShardedStoreSnapshot,
-    SharedPredictionStore, StoreError,
+    StoreError,
 };
 pub use validation::{validate_deployment, DeploymentReport, PublishGate};

@@ -36,7 +36,7 @@
 //! | `store.recovery.fallbacks` | counter | generations skipped as corrupt during load |
 //! | `personalizer.signals` | counter | satisfaction signals applied |
 //! | `personalizer.profiles_touched` | counter | profiles updated across all propagation rounds |
-//! | `personalizer.lambda.publishes` | counter | λ epochs published by the LambdaStore |
+//! | `personalizer.lambda.publishes` | counter | λ epochs published by a λ store shard |
 //! | `personalizer.lambda.delta_keys` | counter | changed λ keys carried by published deltas |
 //! | `personalizer.lambda.compactions` | counter | overlay generations folded into a new base |
 //! | `personalizer.wal.appends` | counter | signals appended durably to the WAL |
@@ -89,14 +89,14 @@ pub(crate) static PUBLISH_ENTRIES: Counter = Counter::new();
 pub(crate) static PERSONALIZER_INIT_SPAN_NS: Histogram = Histogram::new();
 pub(crate) static PERSONALIZER_PROFILES: Counter = Counter::new();
 
-// Live-model serving (TrainedLorentz::recommend / recommend_batch).
+// Live-model serving (`LiveModel`: recommend_one / recommend_many).
 pub(crate) static RECOMMEND_SPAN_NS: Histogram = Histogram::new();
 pub(crate) static RECOMMEND_BATCH_SPAN_NS: Histogram = Histogram::new();
 pub(crate) static RECOMMEND_REQUESTS: Counter = Counter::new();
 pub(crate) static RECOMMEND_ERRORS: Counter = Counter::new();
 pub(crate) static RECOMMEND_BATCHES: Counter = Counter::new();
 
-// Store-backed serving (recommend_from_store / recommend_batch_from_store).
+// Store-backed serving (`StoreOnly`: recommend_one / recommend_many).
 pub(crate) static STORE_SERVE_SPAN_NS: Histogram = Histogram::new();
 pub(crate) static STORE_SERVE_BATCH_SPAN_NS: Histogram = Histogram::new();
 pub(crate) static STORE_SERVE_REQUESTS: Counter = Counter::new();

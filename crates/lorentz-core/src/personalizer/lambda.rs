@@ -2,9 +2,10 @@
 //!
 //! Batch training freezes a [`Personalizer`] inside the deployment; online
 //! personalization needs the same λ scores to keep moving while requests
-//! are in flight. [`LambdaStore`] separates the two roles with the same
-//! snapshot discipline as
-//! [`SharedPredictionStore`](crate::SharedPredictionStore), but publishes
+//! are in flight. Each shard of a
+//! [`ShardedLambdaStore`](super::ShardedLambdaStore) separates the two
+//! roles with the same snapshot discipline as the
+//! [`ShardedPredictionStore`](crate::ShardedPredictionStore), but publishes
 //! *deltas*, not full tables:
 //!
 //! * **Readers** clone an `Arc<LambdaEpoch>` out of a mutex-guarded slot
@@ -141,52 +142,23 @@ struct WriterState {
     pending: LambdaTable,
 }
 
-/// Live-updatable Stage-3 state: a single-writer [`Personalizer`] plus the
-/// atomic-Arc epoch slot readers probe. Publishes are O(keys changed);
-/// [`LambdaStore::publish_delta`] returns the [`LambdaDelta`] a follower
-/// needs to replay the epoch, and [`LambdaStore::apply_delta`] is that
-/// follower-side replay.
-///
-/// ```
-/// use lorentz_core::personalizer::{LambdaStore, Personalizer, PersonalizerConfig};
-/// use lorentz_core::SatisfactionSignal;
-/// use lorentz_types::{CustomerId, ResourceGroupId, ResourcePath, ServerOffering, SubscriptionId};
-///
-/// let store = LambdaStore::new(Personalizer::new(PersonalizerConfig::default())?);
-/// let path = ResourcePath::new(CustomerId(1), SubscriptionId(1), ResourceGroupId(1));
-/// let before = store.snapshot();
-///
-/// store.apply_signal(&SatisfactionSignal::new(path, ServerOffering::GeneralPurpose, 1.0)?);
-/// let delta = store.publish_delta();
-/// assert_eq!(delta.epoch, 2);
-/// assert_eq!(delta.entries.len(), 1); // only the touched key is republished
-///
-/// // The old epoch is immutable; a fresh one sees the new λ.
-/// assert_eq!(before.lambda(&path, ServerOffering::GeneralPurpose), 0.0);
-/// let after = store.snapshot();
-/// assert!((after.lambda(&path, ServerOffering::GeneralPurpose) - 0.3).abs() < 1e-12);
-/// assert!(after.version() > before.version());
-///
-/// // A follower replays the delta and converges bit-exactly.
-/// let follower = LambdaStore::new(Personalizer::new(PersonalizerConfig::default())?);
-/// follower.apply_delta(&delta)?;
-/// assert_eq!(
-///     follower.snapshot().lambda(&path, ServerOffering::GeneralPurpose),
-///     after.lambda(&path, ServerOffering::GeneralPurpose),
-/// );
-/// # Ok::<(), lorentz_types::LorentzError>(())
-/// ```
-pub struct LambdaStore {
+/// One shard of live-updatable Stage-3 state: a single-writer
+/// [`Personalizer`] plus the atomic-Arc epoch slot readers probe. Publishes
+/// are O(keys changed) and land at an epoch the owning
+/// [`ShardedLambdaStore`](super::ShardedLambdaStore) mints;
+/// [`LambdaShard::apply_delta`] is the follower-side replay of a published
+/// [`LambdaDelta`].
+pub(super) struct LambdaShard {
     /// The single writer's working state.
     writer: parking_lot::Mutex<WriterState>,
     /// The published epoch readers clone.
     slot: parking_lot::Mutex<Arc<LambdaEpoch>>,
 }
 
-impl std::fmt::Debug for LambdaStore {
+impl std::fmt::Debug for LambdaShard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let epoch = self.slot.lock().clone();
-        f.debug_struct("LambdaStore")
+        f.debug_struct("LambdaShard")
             .field("epoch", &epoch.epoch)
             .field("len", &epoch.len)
             .field("generations", &epoch.overlays.len())
@@ -194,10 +166,10 @@ impl std::fmt::Debug for LambdaStore {
     }
 }
 
-impl LambdaStore {
+impl LambdaShard {
     /// Wraps a personalizer (typically the batch-trained Stage-3 state)
     /// and publishes its current λ values as the base of epoch 1.
-    pub fn new(personalizer: Personalizer) -> Self {
+    pub(super) fn new(personalizer: Personalizer) -> Self {
         let seed = Arc::new(LambdaEpoch {
             epoch: 1,
             len: personalizer.profiles(),
@@ -214,19 +186,13 @@ impl LambdaStore {
     }
 
     /// The current epoch — a cheap `Arc` clone; probe it lock-free.
-    pub fn snapshot(&self) -> Arc<LambdaEpoch> {
+    pub(super) fn snapshot(&self) -> Arc<LambdaEpoch> {
         self.slot.lock().clone()
     }
 
-    /// The currently published epoch number.
-    pub fn version(&self) -> u64 {
-        self.slot.lock().epoch
-    }
-
     /// Applies one signal to the writer state, accumulating the touched
-    /// keys for the next delta. Not visible to readers until
-    /// [`LambdaStore::publish`].
-    pub fn apply_signal(&self, signal: &SatisfactionSignal) {
+    /// keys for the next delta. Not visible to readers until published.
+    pub(super) fn apply_signal(&self, signal: &SatisfactionSignal) {
         let w = &mut *self.writer.lock();
         let pending = &mut w.pending;
         w.personalizer.apply_signal_sink(signal, |path, lambdas| {
@@ -234,49 +200,19 @@ impl LambdaStore {
         });
     }
 
-    /// Applies a batch of signals in order. Not visible to readers until
-    /// [`LambdaStore::publish`].
-    pub fn apply_signals(&self, signals: &[SatisfactionSignal]) {
-        let w = &mut *self.writer.lock();
-        let pending = &mut w.pending;
-        for signal in signals {
-            w.personalizer.apply_signal_sink(signal, |path, lambdas| {
-                pending.insert(PathKey::new(path).pack(), lambdas);
-            });
-        }
-    }
-
-    /// Publishes pending changes as a new epoch, returning its number.
-    /// Shorthand for [`LambdaStore::publish_delta`] when the delta itself
-    /// is not needed.
-    pub fn publish(&self) -> u64 {
-        self.publish_delta().epoch
-    }
-
     /// Publishes the keys touched since the last publish as a new overlay
-    /// generation and swaps the epoch pointer — O(keys changed), never a
-    /// full flatten. Returns the epoch-stamped [`LambdaDelta`] (sorted,
-    /// canonical) for WAL framing and replication. An empty delta still
-    /// advances the epoch.
-    pub fn publish_delta(&self) -> LambdaDelta {
-        let mut w = self.writer.lock();
-        let current = self.slot.lock().clone();
-        let epoch = current.epoch + 1;
-        self.publish_pending(&mut w, &current, epoch)
-    }
-
-    /// Like [`LambdaStore::publish_delta`], but publishing at an
-    /// externally minted epoch number instead of `current + 1`. This is
-    /// how a sharded λ store keeps one global, WAL-monotone epoch sequence
-    /// across per-customer shards: a central counter mints the number and
-    /// the owning shard publishes at it, so shard-local epochs advance
-    /// with gaps (which delta replay already tolerates) while the framed
-    /// records stay strictly increasing.
+    /// generation at `epoch` (minted by the owning sharded store) and swaps
+    /// the epoch pointer — O(keys changed), never a full flatten. Returns
+    /// the epoch-stamped [`LambdaDelta`] (sorted, canonical) for WAL
+    /// framing and replication. An empty delta still advances the epoch.
+    /// Minted epochs may skip numbers this shard never published (delta
+    /// replay tolerates gaps), while the framed records stay strictly
+    /// increasing.
     ///
     /// # Errors
     /// [`DeltaCorruption::EpochRegression`] if `epoch` does not advance
-    /// this store's current epoch; pending changes stay pending.
-    pub fn publish_delta_at(&self, epoch: u64) -> Result<LambdaDelta, DeltaCorruption> {
+    /// this shard's current epoch; pending changes stay pending.
+    pub(super) fn publish_delta_at(&self, epoch: u64) -> Result<LambdaDelta, DeltaCorruption> {
         let mut w = self.writer.lock();
         let current = self.slot.lock().clone();
         if epoch <= current.epoch {
@@ -285,18 +221,6 @@ impl LambdaStore {
                 got: epoch,
             });
         }
-        Ok(self.publish_pending(&mut w, &current, epoch))
-    }
-
-    /// Publishes the writer's pending keys at `epoch` and returns the
-    /// delta. Caller holds the writer lock and guarantees the epoch
-    /// advances.
-    fn publish_pending(
-        &self,
-        w: &mut WriterState,
-        current: &LambdaEpoch,
-        epoch: u64,
-    ) -> LambdaDelta {
         let pending = std::mem::take(&mut w.pending);
         let len = w.personalizer.profiles();
         let delta = LambdaDelta::new(
@@ -306,20 +230,21 @@ impl LambdaStore {
                 .map(|(k, v)| (PathKey::unpack(*k).expect("packed from PathKey"), *v))
                 .collect(),
         );
-        self.swap_epoch(current, epoch, pending, len);
-        delta
+        self.swap_epoch(&current, epoch, pending, len);
+        Ok(delta)
     }
 
     /// Applies a replicated delta — the follower-side mirror of
-    /// [`LambdaStore::publish_delta`]: upserts every entry into the writer
-    /// state and publishes at exactly `delta.epoch`. Epochs must advance
-    /// monotonically but may skip numbers (a leader publishes epochs that
-    /// never reach the WAL, e.g. the post-replay epoch after a restart).
+    /// [`LambdaShard::publish_delta_at`]: upserts every entry into the
+    /// writer state and publishes at exactly `delta.epoch`. Epochs must
+    /// advance monotonically but may skip numbers (a leader publishes
+    /// epochs that never reach the WAL, e.g. the post-replay epoch after a
+    /// restart).
     ///
     /// # Errors
     /// [`DeltaCorruption::EpochRegression`] if `delta.epoch` does not
-    /// advance the store's current epoch; the store is unchanged.
-    pub fn apply_delta(&self, delta: &LambdaDelta) -> Result<u64, DeltaCorruption> {
+    /// advance the shard's current epoch; the shard is unchanged.
+    pub(super) fn apply_delta(&self, delta: &LambdaDelta) -> Result<u64, DeltaCorruption> {
         let mut w = self.writer.lock();
         let current = self.slot.lock().clone();
         if delta.epoch <= current.epoch {
@@ -345,7 +270,7 @@ impl LambdaStore {
     /// the resulting epoch. Used after WAL replay so the next publish
     /// continues the on-disk epoch numbering instead of restarting below
     /// records already written.
-    pub fn restore_epoch(&self, epoch: u64) -> u64 {
+    pub(super) fn restore_epoch(&self, epoch: u64) -> u64 {
         let _writer = self.writer.lock();
         let current = self.slot.lock().clone();
         if current.epoch >= epoch {
@@ -403,7 +328,7 @@ impl LambdaStore {
 
     /// Runs `f` against the writer-side personalizer (for reports and
     /// persistence — the serve path reads snapshots instead).
-    pub fn with_personalizer<R>(&self, f: impl FnOnce(&Personalizer) -> R) -> R {
+    pub(super) fn with_personalizer<R>(&self, f: impl FnOnce(&Personalizer) -> R) -> R {
         f(&self.writer.lock().personalizer)
     }
 }
@@ -431,15 +356,23 @@ mod tests {
         ResourcePath::new(CustomerId(c), SubscriptionId(s), ResourceGroupId(r))
     }
 
-    fn store() -> LambdaStore {
-        LambdaStore::new(Personalizer::new(PersonalizerConfig::default()).unwrap())
+    fn store() -> LambdaShard {
+        LambdaShard::new(Personalizer::new(PersonalizerConfig::default()).unwrap())
+    }
+
+    /// Publishes pending changes at the next epoch, as a one-shard
+    /// [`ShardedLambdaStore`](super::super::ShardedLambdaStore) mints it.
+    fn publish(store: &LambdaShard) -> LambdaDelta {
+        store
+            .publish_delta_at(store.snapshot().epoch() + 1)
+            .unwrap()
     }
 
     #[test]
     fn seed_snapshot_carries_trained_lambdas() {
         let mut p = Personalizer::new(PersonalizerConfig::default()).unwrap();
         p.set_lambda(path(1, 2, 3), ServerOffering::Burstable, 1.5);
-        let store = LambdaStore::new(p);
+        let store = LambdaShard::new(p);
         let snap = store.snapshot();
         assert_eq!(snap.version(), 1);
         assert_eq!(snap.len(), 1);
@@ -462,7 +395,7 @@ mod tests {
                 .lambda(&path(1, 1, 1), ServerOffering::GeneralPurpose),
             0.0
         );
-        let v = store.publish();
+        let v = publish(&store).epoch;
         assert_eq!(v, 2);
         let after = store.snapshot();
         assert!((after.lambda(&path(1, 1, 1), ServerOffering::GeneralPurpose) - 0.3).abs() < 1e-12);
@@ -482,7 +415,7 @@ mod tests {
                     .unwrap();
             store.apply_signal(&sig);
         }
-        store.publish();
+        publish(&store);
         let snap = store.snapshot();
         store.with_personalizer(|p| {
             for (path, offering, lambda) in p.iter() {
@@ -499,7 +432,7 @@ mod tests {
         for _ in 0..3 {
             store.apply_signal(&sig);
         }
-        store.publish();
+        publish(&store);
         let snap = store.snapshot();
         let catalog = SkuCatalog::azure_postgres(ServerOffering::GeneralPurpose);
         let via_snapshot = snap.adjust(4.0, &loc, ServerOffering::GeneralPurpose, &catalog);
@@ -514,11 +447,11 @@ mod tests {
         let mut p = Personalizer::new(PersonalizerConfig::default()).unwrap();
         // A second customer that no signal will reach.
         p.register(path(9, 9, 9));
-        let store = LambdaStore::new(p);
+        let store = LambdaShard::new(p);
         let sig =
             SatisfactionSignal::new(path(1, 1, 1), ServerOffering::GeneralPurpose, 1.0).unwrap();
         store.apply_signal(&sig);
-        let delta = store.publish_delta();
+        let delta = publish(&store);
         assert_eq!(delta.epoch, 2);
         assert_eq!(delta.entries.len(), 1);
         assert_eq!(delta.entries[0].0, PathKey::new(path(1, 1, 1)));
@@ -532,7 +465,7 @@ mod tests {
     #[test]
     fn empty_publish_advances_epoch_without_entries() {
         let store = store();
-        let delta = store.publish_delta();
+        let delta = publish(&store);
         assert_eq!(delta.epoch, 2);
         assert!(delta.is_empty());
         assert_eq!(store.snapshot().generations(), 0);
@@ -545,7 +478,7 @@ mod tests {
             let sig = SatisfactionSignal::new(path(1, 1, i), ServerOffering::GeneralPurpose, 1.0)
                 .unwrap();
             store.apply_signal(&sig);
-            store.publish();
+            publish(&store);
         }
         let snap = store.snapshot();
         assert!(snap.generations() <= MAX_OVERLAY_GENERATIONS);
@@ -566,7 +499,7 @@ mod tests {
             SatisfactionSignal::new(path(1, 1, 1), ServerOffering::GeneralPurpose, 0.5).unwrap();
         for _ in 0..(MAX_OVERLAY_GENERATIONS + 1) {
             store.apply_signal(&sig);
-            store.publish();
+            publish(&store);
         }
         let snap = store.snapshot();
         assert_eq!(snap.generations(), 0, "overlays folded into the base");
@@ -589,12 +522,12 @@ mod tests {
                 SatisfactionSignal::new(path(1, i, i * 10), ServerOffering::MemoryOptimized, gamma)
                     .unwrap();
             leader.apply_signal(&sig);
-            deltas.push(leader.publish_delta());
+            deltas.push(publish(&leader));
         }
         for d in &deltas {
             follower.apply_delta(d).unwrap();
         }
-        assert_eq!(follower.version(), leader.version());
+        assert_eq!(follower.snapshot().version(), leader.snapshot().version());
         let l = leader.snapshot();
         let f = follower.snapshot();
         assert_eq!(f.len(), l.len());
@@ -616,7 +549,7 @@ mod tests {
             DeltaCorruption::EpochRegression { current: 1, got: 1 }
         ));
         // The rejected delta left no trace.
-        assert_eq!(store.version(), 1);
+        assert_eq!(store.snapshot().version(), 1);
         assert_eq!(
             store
                 .snapshot()
@@ -635,7 +568,7 @@ mod tests {
         let delta = store.publish_delta_at(7).unwrap();
         assert_eq!(delta.epoch, 7);
         assert_eq!(delta.entries.len(), 1);
-        assert_eq!(store.version(), 7);
+        assert_eq!(store.snapshot().version(), 7);
         // Regression is refused and the pending keys survive for the next
         // valid publish.
         store.apply_signal(&sig);
@@ -647,8 +580,8 @@ mod tests {
         let delta = store.publish_delta_at(9).unwrap();
         assert_eq!(delta.epoch, 9);
         assert_eq!(delta.entries.len(), 1, "pending keys were not lost");
-        // The plain publisher continues from the adopted numbering.
-        assert_eq!(store.publish_delta().epoch, 10);
+        // The next publish continues from the adopted numbering.
+        assert_eq!(publish(&store).epoch, 10);
     }
 
     #[test]
@@ -656,7 +589,7 @@ mod tests {
         let store = store();
         let delta = LambdaDelta::new(7, vec![(PathKey::new(path(1, 1, 1)), [0.5, 0.5, 0.5])]);
         assert_eq!(store.apply_delta(&delta).unwrap(), 7);
-        assert_eq!(store.version(), 7);
+        assert_eq!(store.snapshot().version(), 7);
     }
 
     #[test]
@@ -665,7 +598,7 @@ mod tests {
         let sig =
             SatisfactionSignal::new(path(1, 1, 1), ServerOffering::GeneralPurpose, 1.0).unwrap();
         store.apply_signal(&sig);
-        store.publish();
+        publish(&store);
         let before = store.snapshot();
         assert_eq!(store.restore_epoch(9), 9);
         // Already past it: no-op.

@@ -10,24 +10,54 @@
 //! never observe so much as a pointer swap.
 //!
 //! Epoch numbering stays **global**: a central counter mints each epoch
-//! and the owning shard publishes at it via
-//! [`LambdaStore::publish_delta_at`]. The WAL and follower replication
-//! therefore still see strictly increasing epochs (shard-local epochs
-//! advance with gaps, which delta replay already tolerates), and with one
-//! shard the numbering degenerates bit-for-bit to the flat
-//! [`LambdaStore`]'s.
+//! and the owning shard publishes at it. The WAL and follower replication
+//! therefore see strictly increasing epochs (shard-local epochs advance
+//! with gaps, which delta replay tolerates), and with one shard every
+//! publish advances the epoch by exactly one — the numbering a follower,
+//! which holds a one-shard store, replays.
 
-use super::lambda::{LambdaSnapshot, LambdaStore};
+use super::lambda::{LambdaShard, LambdaSnapshot};
 use super::{Personalizer, SatisfactionSignal};
-use lorentz_types::{LambdaDelta, LorentzError, ResourcePath, ShardRouter};
+use lorentz_types::{DeltaCorruption, LambdaDelta, LorentzError, ResourcePath, ShardRouter};
 use std::sync::Arc;
 
-/// N per-customer [`LambdaStore`] shards behind one multiply-fold router
-/// and one global epoch counter. See the module docs for the sharding and
-/// numbering contracts.
+/// N per-customer λ shards behind one multiply-fold router and one global
+/// epoch counter. See the module docs for the sharding and numbering
+/// contracts.
+///
+/// ```
+/// use lorentz_core::personalizer::{Personalizer, PersonalizerConfig, ShardedLambdaStore};
+/// use lorentz_core::SatisfactionSignal;
+/// use lorentz_types::{CustomerId, ResourceGroupId, ResourcePath, ServerOffering, SubscriptionId};
+///
+/// let personalizer = Personalizer::new(PersonalizerConfig::default())?;
+/// let store = ShardedLambdaStore::new(personalizer.clone(), 4)?;
+/// let path = ResourcePath::new(CustomerId(1), SubscriptionId(1), ResourceGroupId(1));
+/// let before = store.snapshot_for(&path);
+///
+/// store.apply_signal(&SatisfactionSignal::new(path, ServerOffering::GeneralPurpose, 1.0)?);
+/// let delta = store.publish_delta_for(&path);
+/// assert_eq!(delta.epoch, 2);
+/// assert_eq!(delta.entries.len(), 1); // only the touched key is republished
+///
+/// // The old epoch is immutable; a fresh one sees the new λ.
+/// assert_eq!(before.lambda(&path, ServerOffering::GeneralPurpose), 0.0);
+/// let after = store.snapshot_for(&path);
+/// assert!((after.lambda(&path, ServerOffering::GeneralPurpose) - 0.3).abs() < 1e-12);
+/// assert!(after.version() > before.version());
+///
+/// // A one-shard follower replays the delta and converges bit-exactly.
+/// let follower = ShardedLambdaStore::new(personalizer, 1)?;
+/// follower.apply_delta(&delta)?;
+/// assert_eq!(
+///     follower.snapshot_for(&path).lambda(&path, ServerOffering::GeneralPurpose),
+///     after.lambda(&path, ServerOffering::GeneralPurpose),
+/// );
+/// # Ok::<(), lorentz_types::LorentzError>(())
+/// ```
 #[derive(Debug)]
 pub struct ShardedLambdaStore {
-    shards: Box<[LambdaStore]>,
+    shards: Box<[LambdaShard]>,
     router: ShardRouter,
     /// The last minted (or restored) global epoch. Every publish holds
     /// this lock across the owning shard's swap, so minted epochs reach
@@ -37,8 +67,8 @@ pub struct ShardedLambdaStore {
 
 impl ShardedLambdaStore {
     /// Splits a personalizer's profiles across `shards` per-customer
-    /// shards. Each shard starts as epoch 1 of its slice (matching
-    /// [`LambdaStore::new`]); the global counter starts at 1.
+    /// shards. Each shard starts as epoch 1 of its slice; the global
+    /// counter starts at 1.
     ///
     /// # Errors
     /// [`LorentzError::InvalidConfig`] for a non-power-of-two shard count
@@ -46,7 +76,7 @@ impl ShardedLambdaStore {
     pub fn new(personalizer: Personalizer, shards: usize) -> Result<Self, LorentzError> {
         let router = ShardRouter::new(shards)?;
         let stores = if router.shards() == 1 {
-            vec![LambdaStore::new(personalizer)]
+            vec![LambdaShard::new(personalizer)]
         } else {
             let mut slices = Vec::with_capacity(router.shards());
             for _ in 0..router.shards() {
@@ -55,7 +85,7 @@ impl ShardedLambdaStore {
             for (path, lambdas) in personalizer.iter_profiles() {
                 slices[router.route_customer(path.customer)].set_lambdas(path, lambdas);
             }
-            slices.into_iter().map(LambdaStore::new).collect()
+            slices.into_iter().map(LambdaShard::new).collect()
         };
         Ok(Self {
             shards: stores.into_boxed_slice(),
@@ -88,7 +118,7 @@ impl ShardedLambdaStore {
     pub fn snapshot_shard(&self, shard: usize) -> Result<Arc<LambdaSnapshot>, LorentzError> {
         self.shards
             .get(shard)
-            .map(LambdaStore::snapshot)
+            .map(LambdaShard::snapshot)
             .ok_or_else(|| {
                 LorentzError::InvalidConfig(format!(
                     "shard {shard} out of range (store has {} shards)",
@@ -97,8 +127,8 @@ impl ShardedLambdaStore {
             })
     }
 
-    /// The last minted (or restored) global epoch. With one shard this is
-    /// exactly the flat store's published epoch.
+    /// The last minted, replayed or restored global epoch. With one shard
+    /// this is the shard's published epoch.
     pub fn version(&self) -> u64 {
         *self.epoch.lock()
     }
@@ -130,8 +160,7 @@ impl ShardedLambdaStore {
 
     /// Publishes every shard's pending changes, each at its own freshly
     /// minted global epoch, returning the last epoch minted. Used for
-    /// replay-style bulk publishes; with one shard this is exactly the
-    /// flat store's [`LambdaStore::publish`].
+    /// replay-style bulk publishes.
     pub fn publish(&self) -> u64 {
         let mut epoch = self.epoch.lock();
         for shard in &self.shards {
@@ -141,6 +170,40 @@ impl ShardedLambdaStore {
                 .expect("globally minted epochs advance every shard");
         }
         *epoch
+    }
+
+    /// Applies a replicated delta — the follower-side mirror of
+    /// [`ShardedLambdaStore::publish_delta_for`]: each entry is upserted
+    /// into its customer's shard, and every shard that received entries
+    /// publishes at exactly `delta.epoch` (shard 0 always does, so an
+    /// empty delta still advances the epoch). Epochs must advance
+    /// monotonically but may skip numbers.
+    ///
+    /// # Errors
+    /// [`DeltaCorruption::EpochRegression`] if `delta.epoch` does not
+    /// advance the global epoch — a re-delivered record; the store is
+    /// unchanged.
+    pub fn apply_delta(&self, delta: &LambdaDelta) -> Result<u64, DeltaCorruption> {
+        let mut epoch = self.epoch.lock();
+        if delta.epoch <= *epoch {
+            return Err(DeltaCorruption::EpochRegression {
+                current: *epoch,
+                got: delta.epoch,
+            });
+        }
+        let mut parts = vec![Vec::new(); self.shards.len()];
+        for &(key, lambdas) in &delta.entries {
+            parts[self.router.route_customer(key.path().customer)].push((key, lambdas));
+        }
+        for (i, (shard, entries)) in self.shards.iter().zip(parts).enumerate() {
+            if i == 0 || !entries.is_empty() {
+                shard
+                    .apply_delta(&LambdaDelta::new(delta.epoch, entries))
+                    .expect("the global epoch bounds every shard's");
+            }
+        }
+        *epoch = delta.epoch;
+        Ok(delta.epoch)
     }
 
     /// Fast-forwards the global counter and every shard's published epoch
@@ -196,7 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_matches_flat_store_numbering() {
+    fn single_shard_numbers_epochs_consecutively() {
         let store = seeded(1);
         assert_eq!(store.version(), 1);
         let p = path(3, 0, 0);
@@ -208,30 +271,70 @@ mod tests {
     }
 
     #[test]
-    fn sharded_lambdas_match_flat_for_any_customer() {
-        let mut flat = Personalizer::new(PersonalizerConfig::default()).unwrap();
-        for customer in 0..32 {
-            flat.register(path(customer, 0, 0));
-        }
-        let flat_store = LambdaStore::new(flat.clone());
-        let sharded = ShardedLambdaStore::new(flat, 8).unwrap();
+    fn sharded_lambdas_match_one_shard_for_any_customer() {
+        let one = seeded(1);
+        let sharded = seeded(8);
         for customer in [0u32, 7, 31] {
             let p = path(customer, 0, 0);
             let s = signal(p, 0.5);
-            flat_store.apply_signal(&s);
+            one.apply_signal(&s);
             sharded.apply_signal(&s);
-            flat_store.publish();
+            one.publish_delta_for(&p);
             sharded.publish_delta_for(&p);
             assert_eq!(
-                flat_store
-                    .snapshot()
+                one.snapshot_for(&p)
                     .lambda(&p, ServerOffering::GeneralPurpose),
                 sharded
                     .snapshot_for(&p)
                     .lambda(&p, ServerOffering::GeneralPurpose),
-                "customer {customer} diverged from the flat store"
+                "customer {customer} diverged from the one-shard store"
             );
         }
+    }
+
+    #[test]
+    fn apply_delta_routes_entries_and_rejects_stale_epochs() {
+        let leader = seeded(4);
+        let follower = seeded(4);
+        let mut deltas = Vec::new();
+        for customer in [1u32, 2, 3, 1] {
+            let p = path(customer, 0, 0);
+            leader.apply_signal(&signal(p, 0.5));
+            deltas.push(leader.publish_delta_for(&p));
+        }
+        for d in &deltas {
+            assert_eq!(follower.apply_delta(d).unwrap(), d.epoch);
+        }
+        assert_eq!(follower.version(), leader.version());
+        for customer in [1u32, 2, 3] {
+            let p = path(customer, 0, 0);
+            assert_eq!(
+                follower
+                    .snapshot_for(&p)
+                    .lambda(&p, ServerOffering::GeneralPurpose)
+                    .to_bits(),
+                leader
+                    .snapshot_for(&p)
+                    .lambda(&p, ServerOffering::GeneralPurpose)
+                    .to_bits()
+            );
+        }
+        // A re-delivered epoch is rejected against the global epoch and
+        // leaves no trace.
+        let last = deltas.last().unwrap();
+        let err = follower.apply_delta(last).unwrap_err();
+        assert!(matches!(
+            err,
+            DeltaCorruption::EpochRegression { current, got } if current == last.epoch && got == last.epoch
+        ));
+        assert_eq!(follower.version(), last.epoch);
+        // An empty delta still advances the epoch, through shard 0.
+        assert_eq!(
+            follower.apply_delta(&LambdaDelta::new(99, vec![])).unwrap(),
+            99
+        );
+        assert_eq!(follower.version(), 99);
+        assert_eq!(follower.snapshot_shard(0).unwrap().version(), 99);
     }
 
     #[test]

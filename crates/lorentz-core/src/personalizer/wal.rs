@@ -17,11 +17,10 @@
 //! [4 magic "LSIG"] [4 payload len u32 LE] [4 payload CRC32C u32 LE] [payload]
 //! ```
 //!
-//! The payload is JSON: a bare [`SatisfactionSignal`] (the legacy
-//! format, still replayed), a [`WalRecord`] `{signal, delta}` object, or
-//! a [`TermRecord`] `{leader_term}` marker appended whenever a process
-//! mints a new leader term (logs written before fencing existed carry no
-//! markers and recover as term 0).
+//! The payload is JSON: a [`WalRecord`] `{signal, delta}` object, or a
+//! [`TermRecord`] `{leader_term}` marker appended whenever a process mints
+//! a new leader term (a log without markers recovers as term 0). Any other
+//! payload is [`StoreCorruption::BadPayload`].
 //! Appends are `write_all` + `fsync` under [`retry_with_backoff`], so
 //! transient I/O failures retry and permanent ones surface. A crash
 //! mid-append leaves a torn final record; replay verifies each frame's
@@ -91,12 +90,9 @@ pub struct TermRecord {
     pub leader_term: u64,
 }
 
-/// One intact record read back from a log, any format.
+/// One intact record read back from a log.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalEntry {
-    /// A legacy bare-signal record (pre-delta format): replayable through
-    /// propagation, but carrying no epoch for a follower.
-    Signal(SatisfactionSignal),
     /// A delta-framed [`WalRecord`].
     Record(WalRecord),
     /// A leader-term marker ([`TermRecord`]).
@@ -107,7 +103,6 @@ impl WalEntry {
     /// The signal this entry carries, `None` for a term marker.
     pub fn signal(&self) -> Option<&SatisfactionSignal> {
         match self {
-            WalEntry::Signal(s) => Some(s),
             WalEntry::Record(r) => Some(&r.signal),
             WalEntry::Term(_) => None,
         }
@@ -117,7 +112,7 @@ impl WalEntry {
     pub fn epoch(&self) -> Option<u64> {
         match self {
             WalEntry::Record(r) => Some(r.delta.epoch),
-            WalEntry::Signal(_) | WalEntry::Term(_) => None,
+            WalEntry::Term(_) => None,
         }
     }
 
@@ -125,7 +120,7 @@ impl WalEntry {
     pub fn term(&self) -> Option<u64> {
         match self {
             WalEntry::Term(t) => Some(*t),
-            WalEntry::Signal(_) | WalEntry::Record(_) => None,
+            WalEntry::Record(_) => None,
         }
     }
 }
@@ -136,11 +131,11 @@ pub struct WalRecovery {
     /// Every intact signal, in append order — apply these before serving.
     pub signals: Vec<SatisfactionSignal>,
     /// The highest delta epoch among intact records (0 when the log is
-    /// empty or all-legacy). After replaying, fast-forward the λ store to
+    /// empty or holds only term markers). After replaying, fast-forward the λ store to
     /// at least this epoch so new appends continue the on-disk numbering.
     pub last_epoch: u64,
     /// The highest leader term among intact [`TermRecord`] markers (0 for
-    /// a log written before fencing existed). A restarting leader resumes
+    /// a log without markers). A restarting leader resumes
     /// this term; a promotion mints a strictly higher one.
     pub last_term: u64,
     /// Bytes discarded from a torn final record (0 for a clean log).
@@ -255,7 +250,7 @@ impl SignalWal {
                         term: entry.term(),
                         delta_keys: match &entry {
                             WalEntry::Record(r) => r.delta.entries.len(),
-                            WalEntry::Signal(_) | WalEntry::Term(_) => 0,
+                            WalEntry::Term(_) => 0,
                         },
                         signal: entry.signal().copied(),
                     });
@@ -286,19 +281,6 @@ impl SignalWal {
     pub fn append_record(&mut self, record: &WalRecord) -> Result<(), StoreError> {
         let payload =
             serde_json::to_string(record).map_err(|e| StoreError::Serialize(format!("{e}")))?;
-        self.append_payload(payload.as_bytes())
-    }
-
-    /// Appends one bare signal durably (the legacy record format, kept
-    /// for writers that have no λ store to produce deltas from, e.g. the
-    /// offline `lorentz feedback` tool).
-    ///
-    /// # Errors
-    /// Returns [`StoreError::Serialize`] when the signal cannot be
-    /// encoded and [`StoreError::Io`] when the write fails permanently.
-    pub fn append(&mut self, signal: &SatisfactionSignal) -> Result<(), StoreError> {
-        let payload =
-            serde_json::to_string(signal).map_err(|e| StoreError::Serialize(format!("{e}")))?;
         self.append_payload(payload.as_bytes())
     }
 
@@ -382,8 +364,8 @@ impl SignalWal {
     /// always names a record it applied *from this log* (epochs are minted
     /// by one global counter and the log is append-only), so the cursor
     /// finds the record carrying that epoch and replays everything after
-    /// it — including legacy bare-signal frames, which carry no epoch but
-    /// still belong to the stream. When `last_epoch > 0` and no record
+    /// it — including term markers, which carry no epoch but still belong
+    /// to the stream. When `last_epoch > 0` and no record
     /// carries it, the log has been compacted/rotated past the follower's
     /// position: the whole log is returned with `full_resync = true`, and
     /// the follower must reset its λ-state before applying.
@@ -444,7 +426,7 @@ pub struct WalReplay {
     /// λ-state before applying.
     pub full_resync: bool,
     /// The highest delta epoch among the log's intact records (0 when the
-    /// log is empty or all-legacy).
+    /// log holds none).
     pub log_last_epoch: u64,
 }
 
@@ -544,8 +526,7 @@ pub struct WalRecordSummary {
     pub index: usize,
     /// Byte offset of the record's frame.
     pub offset: u64,
-    /// The delta epoch, `None` for a legacy bare-signal record or a term
-    /// marker.
+    /// The delta epoch, `None` for a term marker.
     pub epoch: Option<u64>,
     /// The minted leader term, `Some` only for a term marker.
     pub term: Option<u64>,
@@ -645,18 +626,14 @@ fn parse_entry(payload: &[u8]) -> Result<WalEntry, StoreCorruption> {
             "payload is not UTF-8".to_owned(),
         ));
     };
-    // Delta-framed first, then term markers, legacy bare signal as the
-    // fallback — the three JSON shapes share no fields, so the match is
-    // unambiguous.
-    if let Ok(record) = serde_json::from_str::<WalRecord>(text) {
-        return Ok(WalEntry::Record(record));
-    }
-    if let Ok(term) = serde_json::from_str::<TermRecord>(text) {
-        return Ok(WalEntry::Term(term.leader_term));
-    }
-    match serde_json::from_str::<SatisfactionSignal>(text) {
-        Ok(signal) => Ok(WalEntry::Signal(signal)),
-        Err(e) => Err(StoreCorruption::BadPayload(format!("{e}"))),
+    // Delta-framed first, then term markers — the two JSON shapes share
+    // no fields, so the match is unambiguous.
+    match serde_json::from_str::<WalRecord>(text) {
+        Ok(record) => Ok(WalEntry::Record(record)),
+        Err(record_err) => match serde_json::from_str::<TermRecord>(text) {
+            Ok(term) => Ok(WalEntry::Term(term.leader_term)),
+            Err(_) => Err(StoreCorruption::BadPayload(format!("{record_err}"))),
+        },
     }
 }
 
@@ -807,14 +784,16 @@ mod tests {
     fn append_and_replay_round_trips() {
         let (path, mut wal) = fresh_wal("round-trip");
         let signals = vec![signal(1, 1.0), signal(2, -0.5), signal(3, 0.25)];
-        for s in &signals {
-            wal.append(s).unwrap();
+        for (i, s) in signals.iter().enumerate() {
+            let c = s.path.customer.0;
+            wal.append_record(&record(c, s.gamma, i as u64 + 2))
+                .unwrap();
         }
         drop(wal);
         let (_wal, recovery) = reopen(&path);
         assert_eq!(recovery.signals, signals);
-        assert_eq!(recovery.last_epoch, 0); // all-legacy log
-        assert_eq!(recovery.last_term, 0); // no term markers either
+        assert_eq!(recovery.last_epoch, 4);
+        assert_eq!(recovery.last_term, 0); // no term markers
         assert_eq!(recovery.torn_tail_bytes, 0);
     }
 
@@ -854,29 +833,43 @@ mod tests {
         let (path, mut wal) = fresh_wal("records");
         wal.append_record(&record(1, 1.0, 2)).unwrap();
         wal.append_record(&record(2, -0.5, 3)).unwrap();
-        // Mixed log: a legacy bare signal still replays.
-        wal.append(&signal(3, 0.25)).unwrap();
         drop(wal);
         let (_wal, recovery) = reopen(&path);
-        assert_eq!(
-            recovery.signals,
-            vec![signal(1, 1.0), signal(2, -0.5), signal(3, 0.25)]
-        );
+        assert_eq!(recovery.signals, vec![signal(1, 1.0), signal(2, -0.5)]);
         assert_eq!(recovery.last_epoch, 3);
         let report = SignalWal::verify(&path).unwrap();
-        assert_eq!(report.records.len(), 3);
+        assert_eq!(report.records.len(), 2);
         assert_eq!(report.records[0].epoch, Some(2));
         assert_eq!(report.records[0].delta_keys, 1);
-        assert_eq!(report.records[2].epoch, None);
         assert!(report.corrupt.is_none());
         assert_eq!(report.trailing_bytes, 0);
     }
 
     #[test]
+    fn bare_signal_payload_is_a_bad_payload() {
+        let (path, mut wal) = fresh_wal("bare-signal");
+        wal.append_record(&record(1, 1.0, 2)).unwrap();
+        // A well-framed record whose payload is a bare signal, not a
+        // `{signal, delta}` record or a term marker.
+        let bare = serde_json::to_string(&signal(2, 0.5)).unwrap();
+        wal.append_frame(&frame_payload(bare.as_bytes())).unwrap();
+        drop(wal);
+        let report = SignalWal::verify(&path).unwrap();
+        assert_eq!(report.records.len(), 1);
+        assert!(matches!(
+            report.corrupt,
+            Some((_, StoreCorruption::BadPayload(_)))
+        ));
+        let (_wal, recovery) = reopen(&path);
+        assert_eq!(recovery.signals, vec![signal(1, 1.0)]);
+        assert!(recovery.torn_tail_bytes > 0);
+    }
+
+    #[test]
     fn torn_tail_is_truncated_and_reported() {
         let (path, mut wal) = fresh_wal("torn-tail");
-        wal.append(&signal(1, 1.0)).unwrap();
-        wal.append(&signal(2, -1.0)).unwrap();
+        wal.append_record(&record(1, 1.0, 2)).unwrap();
+        wal.append_record(&record(2, -1.0, 3)).unwrap();
         drop(wal);
         // Tear the final record in half, as a kill mid-append would.
         let bytes = std::fs::read(&path).unwrap();
@@ -887,7 +880,7 @@ mod tests {
         assert_eq!(recovery.signals, vec![signal(1, 1.0)]);
         assert!(recovery.torn_tail_bytes > 0);
         // The tail was truncated, so new appends land on a clean boundary.
-        wal.append(&signal(3, 0.5)).unwrap();
+        wal.append_record(&record(3, 0.5, 4)).unwrap();
         drop(wal);
         let (_wal, recovery) = reopen(&path);
         assert_eq!(recovery.signals, vec![signal(1, 1.0), signal(3, 0.5)]);
@@ -897,8 +890,8 @@ mod tests {
     #[test]
     fn corrupt_crc_ends_the_replay() {
         let (path, mut wal) = fresh_wal("bad-crc");
-        wal.append(&signal(1, 1.0)).unwrap();
-        wal.append(&signal(2, 1.0)).unwrap();
+        wal.append_record(&record(1, 1.0, 2)).unwrap();
+        wal.append_record(&record(2, 1.0, 3)).unwrap();
         drop(wal);
         // Flip a bit in the second record's payload.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -931,7 +924,7 @@ mod tests {
         let (mut wal, recovery) = reopen(&path);
         assert!(recovery.signals.is_empty());
         assert!(recovery.torn_tail_bytes > 0);
-        wal.append(&signal(4, 1.0)).unwrap();
+        wal.append_record(&record(4, 1.0, 5)).unwrap();
         drop(wal);
         let (_wal, recovery) = reopen(&path);
         assert_eq!(recovery.signals, vec![signal(4, 1.0)]);
@@ -1021,7 +1014,7 @@ mod tests {
         let (path, mut wal) = fresh_wal("replay-from");
         wal.append_record(&record(1, 1.0, 2)).unwrap();
         wal.append_record(&record(2, 0.5, 3)).unwrap();
-        wal.append(&signal(3, 0.25)).unwrap(); // legacy, no epoch
+        wal.append_term(2).unwrap(); // a marker, no epoch
         wal.append_record(&record(4, -0.5, 7)).unwrap(); // epoch jump
         drop(wal);
 
@@ -1031,7 +1024,7 @@ mod tests {
         assert!(!replay.full_resync);
         assert_eq!(replay.log_last_epoch, 7);
 
-        // From epoch 3: the legacy record and the epoch-7 record follow.
+        // From epoch 3: the term marker and the epoch-7 record follow.
         let replay = SignalWal::replay_from(&path, 3).unwrap();
         assert_eq!(replay.frames.len(), 2);
         assert!(!replay.full_resync);
@@ -1124,7 +1117,7 @@ mod tests {
             lorentz_fault::Trigger::Once,
             lorentz_fault::FailAction::Interrupted,
         );
-        wal.append(&signal(1, 1.0)).unwrap();
+        wal.append_record(&record(1, 1.0, 2)).unwrap();
         lorentz_fault::registry().clear();
         drop(wal);
         let (_wal, recovery) = reopen(&path);
@@ -1140,7 +1133,7 @@ mod tests {
             lorentz_fault::Trigger::Always,
             lorentz_fault::FailAction::Error,
         );
-        let err = wal.append(&signal(1, 1.0)).unwrap_err();
+        let err = wal.append_record(&record(1, 1.0, 2)).unwrap_err();
         lorentz_fault::registry().clear();
         assert!(matches!(err, StoreError::Io { .. }));
     }
@@ -1149,13 +1142,13 @@ mod tests {
     #[test]
     fn flipped_bit_appends_are_caught_on_replay() {
         let (path, mut wal) = fresh_wal("flip");
-        wal.append(&signal(1, 1.0)).unwrap();
+        wal.append_record(&record(1, 1.0, 2)).unwrap();
         lorentz_fault::registry().configure(
             "personalizer.wal.append",
             lorentz_fault::Trigger::Once,
             lorentz_fault::FailAction::FlipBit(100),
         );
-        wal.append(&signal(2, 1.0)).unwrap();
+        wal.append_record(&record(2, 1.0, 3)).unwrap();
         lorentz_fault::registry().clear();
         drop(wal);
         let (_wal, recovery) = reopen(&path);

@@ -1,27 +1,16 @@
 //! The unified serving surface: one [`RecommendEngine`] trait in front of
 //! the live-model and prediction-store paths.
 //!
-//! Historically the deployment exposed four entry points (`recommend`,
-//! `recommend_batch`, `recommend_from_store`,
-//! `recommend_batch_from_store`); callers that wanted to switch between
-//! live inference and the precomputed store had to branch at every call
-//! site. The trait collapses that choice into a value: construct a
-//! [`LiveModel`] or a [`StoreOnly`] engine once, then serve through
-//! [`RecommendEngine::recommend_one`] / [`RecommendEngine::recommend_many`]
-//! uniformly. The old inherent methods on
-//! [`TrainedLorentz`](super::TrainedLorentz) remain as thin wrappers over
-//! these engines, so existing call sites keep compiling unchanged.
+//! A caller picks the source once — a [`LiveModel`] for Stage-2 inference
+//! or a [`StoreOnly`] engine over any [`StoreProbe`] (the deployment's own
+//! [`PredictionStore`] or a pinned [`ShardedStoreSnapshot`]) — then serves
+//! through [`RecommendEngine::recommend_one`] /
+//! [`RecommendEngine::recommend_many`] uniformly. Each engine has one
+//! constructor.
 //!
-//! [`StoreOnly`] can also be pointed at an *external*
-//! [`PredictionStore`] snapshot ([`StoreOnly::with_store`]) — this is how
-//! the concurrent serving engine serves from a hot-swapped
-//! [`SharedPredictionStore`](crate::store::SharedPredictionStore) snapshot
-//! while reusing the deployment's schema, hierarchy, and personalizer.
-//!
-//! Both engines can likewise be pointed at a live
-//! [`LambdaSnapshot`](crate::personalizer::LambdaSnapshot)
-//! ([`LiveModel::with_lambdas`] / [`StoreOnly::with_lambdas`]): the Stage-3
-//! adjustment then reads λ from that published snapshot instead of the
+//! Both engines take an optional live
+//! [`LambdaSnapshot`](crate::personalizer::LambdaSnapshot): with one, the
+//! Stage-3 adjustment reads λ from that published snapshot instead of the
 //! deployment's frozen batch personalizer, which is how online feedback
 //! shifts recommendations mid-serve without a model reload.
 
@@ -106,26 +95,18 @@ pub struct LiveModel<'a> {
 }
 
 impl<'a> LiveModel<'a> {
-    /// An engine over `deployment`'s live `kind` model.
-    pub fn new(deployment: &'a TrainedLorentz, kind: ModelKind) -> Self {
-        Self {
-            deployment,
-            kind,
-            lambdas: None,
-        }
-    }
-
-    /// An engine whose Stage-3 adjustment reads λ from a live published
-    /// snapshot instead of the deployment's batch personalizer.
-    pub fn with_lambdas(
+    /// An engine over `deployment`'s live `kind` model. With `lambdas`, the
+    /// Stage-3 adjustment reads λ from that published snapshot instead of
+    /// the deployment's batch personalizer.
+    pub fn new(
         deployment: &'a TrainedLorentz,
         kind: ModelKind,
-        lambdas: &'a LambdaSnapshot,
+        lambdas: Option<&'a LambdaSnapshot>,
     ) -> Self {
         Self {
             deployment,
             kind,
-            lambdas: Some(lambdas),
+            lambdas,
         }
     }
 
@@ -184,14 +165,13 @@ impl RecommendEngine for LiveModel<'_> {
     }
 }
 
-/// Serves from a precomputed [`PredictionStore`] (the low-latency §4 path),
+/// Serves from a precomputed prediction store (the low-latency §4 path),
 /// falling back most-granular-first along the learned hierarchy, then
 /// applies the λ adjustment. Probes use packed integer keys — no string is
 /// built per lookup. Records the `serve.store*` spans and counters.
-/// Generic over the [`StoreProbe`] source: the default `PredictionStore`
-/// keeps every existing signature, while the serving engine's degraded
-/// path instantiates `StoreOnly<'_, ShardedStoreSnapshot>` over its pinned
-/// per-shard snapshots.
+/// Generic over the [`StoreProbe`] source: the deployment's own
+/// [`PredictionStore`] (the default) or the serving engine's pinned
+/// [`ShardedStoreSnapshot`].
 #[derive(Debug)]
 pub struct StoreOnly<'a, S: StoreProbe = PredictionStore> {
     deployment: &'a TrainedLorentz,
@@ -208,66 +188,20 @@ impl<S: StoreProbe> Clone for StoreOnly<'_, S> {
 impl<S: StoreProbe> Copy for StoreOnly<'_, S> {}
 
 impl<'a, S: StoreProbe> StoreOnly<'a, S> {
-    /// An engine over an arbitrary probe source and a live λ snapshot —
-    /// the fully general constructor the specialized ones delegate to.
-    pub fn with_probe_and_lambdas(
+    /// An engine over `store` — e.g. [`TrainedLorentz::store`] or a
+    /// hot-swapped sharded snapshot — still using `deployment`'s schema,
+    /// hierarchy chain, and personalizer to interpret requests. With
+    /// `lambdas`, the Stage-3 adjustment reads λ from that published
+    /// snapshot instead of the deployment's batch personalizer.
+    pub fn new(
         deployment: &'a TrainedLorentz,
         store: &'a S,
-        lambdas: &'a LambdaSnapshot,
+        lambdas: Option<&'a LambdaSnapshot>,
     ) -> Self {
         Self {
             deployment,
             store,
-            lambdas: Some(lambdas),
-        }
-    }
-}
-
-impl<'a> StoreOnly<'a> {
-    /// An engine over the store `deployment` itself published at train
-    /// time.
-    pub fn new(deployment: &'a TrainedLorentz) -> Self {
-        Self {
-            deployment,
-            store: &deployment.store,
-            lambdas: None,
-        }
-    }
-
-    /// An engine over an external store snapshot — e.g. one hot-swapped
-    /// into a [`SharedPredictionStore`](crate::store::SharedPredictionStore)
-    /// after a re-publish — still using `deployment`'s schema, hierarchy
-    /// chain, and personalizer to interpret requests.
-    pub fn with_store(deployment: &'a TrainedLorentz, store: &'a PredictionStore) -> Self {
-        Self {
-            deployment,
-            store,
-            lambdas: None,
-        }
-    }
-
-    /// An engine whose Stage-3 adjustment reads λ from a live published
-    /// snapshot instead of the deployment's batch personalizer.
-    pub fn with_lambdas(deployment: &'a TrainedLorentz, lambdas: &'a LambdaSnapshot) -> Self {
-        Self {
-            deployment,
-            store: &deployment.store,
-            lambdas: Some(lambdas),
-        }
-    }
-
-    /// An engine over both an external store snapshot and a live λ
-    /// snapshot — the mid-serve combination the concurrent serving engine
-    /// uses after hot-swapping either side.
-    pub fn with_store_and_lambdas(
-        deployment: &'a TrainedLorentz,
-        store: &'a PredictionStore,
-        lambdas: &'a LambdaSnapshot,
-    ) -> Self {
-        Self {
-            deployment,
-            store,
-            lambdas: Some(lambdas),
+            lambdas,
         }
     }
 }

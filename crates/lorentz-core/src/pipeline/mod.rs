@@ -9,9 +9,8 @@
 //! surface, answering [`RecommendRequest`]s one at a time or in batches
 //! through a [`RecommendEngine`] — [`LiveModel`] for Stage-2 inference or
 //! [`StoreOnly`] for the precomputed [`PredictionStore`] — always applying
-//! the Stage-3 λ adjustment. The legacy entry points
-//! ([`TrainedLorentz::recommend`] and friends) are thin wrappers over those
-//! engines. Store probes run on packed
+//! the Stage-3 λ adjustment. [`TrainedLorentz::recommend`] is the paper's
+//! sequential Stage 2+3 path over a [`LiveModel`]. Store probes run on packed
 //! [`StoreKey`](lorentz_types::StoreKey)s — the serving path never
 //! allocates a string.
 
@@ -186,30 +185,15 @@ impl LorentzPipeline {
     /// Returns [`LorentzError`] if the fleet is empty, contains an offering
     /// without a catalog, or any stage fails to fit.
     pub fn train(self, fleet: &FleetDataset) -> Result<TrainedLorentz, LorentzError> {
-        self.train_with_stage2_threads(fleet, 0)
-    }
-
-    /// Like [`LorentzPipeline::train`], but caps the number of concurrent
-    /// Stage-2 worker threads (`0` = one thread per offering). Training is
-    /// deterministic regardless of the cap — worker results are always
-    /// joined in job order — so any thread count publishes a byte-identical
-    /// store snapshot.
-    ///
-    /// # Errors
-    /// See [`LorentzPipeline::train`].
-    pub fn train_with_stage2_threads(
-        self,
-        fleet: &FleetDataset,
-        max_threads: usize,
-    ) -> Result<TrainedLorentz, LorentzError> {
-        self.train_with_threads(fleet, 0, max_threads)
+        self.train_with_threads(fleet, 0, 0)
     }
 
     /// Like [`LorentzPipeline::train`], but caps both stage thread pools:
     /// `stage1_threads` bounds the columnar rightsizing sweep's workers and
     /// `stage2_threads` bounds the per-offering model trainers (`0` = auto
-    /// for either). Chunked workers are always joined in record/job order,
-    /// so every combination of caps trains a byte-identical deployment.
+    /// for either; Stage-2 auto is one thread per offering). Chunked workers
+    /// are always joined in record/job order, so every combination of caps
+    /// trains a byte-identical deployment.
     ///
     /// # Errors
     /// See [`LorentzPipeline::train`].
@@ -219,10 +203,9 @@ impl LorentzPipeline {
         stage1_threads: usize,
         stage2_threads: usize,
     ) -> Result<TrainedLorentz, LorentzError> {
-        let max_threads = stage2_threads;
         let ctx = TrainContext::new(&self.config, &self.catalogs, fleet)?;
         let (outcomes, labels) = stages::rightsize_fleet(&ctx, stage1_threads)?;
-        let (models, batch) = stages::train_offerings(&ctx, &labels, max_threads)?;
+        let (models, batch) = stages::train_offerings(&ctx, &labels, stage2_threads)?;
         let store = stages::publish_store(batch)?;
         let personalizer = stages::init_personalizer(&ctx)?;
         let rightsizer = ctx.into_rightsizer();
@@ -374,25 +357,6 @@ impl TrainedLorentz {
         self.personalize(stage2_sku.capacity.primary(), explanation, request, lambdas)
     }
 
-    /// The live-model serving engine over this deployment — the
-    /// [`RecommendEngine`] the single/batch wrappers below delegate to.
-    pub fn live_engine(&self, kind: ModelKind) -> LiveModel<'_> {
-        LiveModel::new(self, kind)
-    }
-
-    /// The store-backed serving engine over this deployment's published
-    /// store.
-    pub fn store_engine(&self) -> StoreOnly<'_> {
-        StoreOnly::new(self)
-    }
-
-    /// A store-backed serving engine over an *external* store snapshot
-    /// (e.g. one hot-swapped after a re-publish), still interpreting
-    /// requests with this deployment's schema, hierarchy, and personalizer.
-    pub fn store_engine_with<'a>(&'a self, store: &'a PredictionStore) -> StoreOnly<'a> {
-        StoreOnly::with_store(self, store)
-    }
-
     /// A live-model engine whose Stage-3 adjustment reads λ from a
     /// published [`LambdaSnapshot`] instead of this deployment's frozen
     /// batch personalizer — the online-feedback serving path.
@@ -401,19 +365,14 @@ impl TrainedLorentz {
         kind: ModelKind,
         lambdas: &'a LambdaSnapshot,
     ) -> LiveModel<'a> {
-        LiveModel::with_lambdas(self, kind, lambdas)
-    }
-
-    /// A store-backed engine reading λ from a published [`LambdaSnapshot`]
-    /// (over this deployment's own prediction store).
-    pub fn store_engine_with_lambdas<'a>(&'a self, lambdas: &'a LambdaSnapshot) -> StoreOnly<'a> {
-        StoreOnly::with_lambdas(self, lambdas)
+        LiveModel::new(self, kind, Some(lambdas))
     }
 
     /// Serves a recommendation through a live Stage-2 model, then applies
-    /// the Stage-3 λ adjustment (Eq. 13) and re-discretizes. Thin wrapper
-    /// over [`LiveModel`]; records one `serve.recommend.span_ns`
-    /// observation plus request/error counters.
+    /// the Stage-3 λ adjustment (Eq. 13) and re-discretizes — the paper's
+    /// sequential Stage 2+3 path. Records one `serve.recommend.span_ns`
+    /// observation plus request/error counters; batch through a
+    /// [`LiveModel`] engine.
     ///
     /// # Errors
     /// Returns [`LorentzError`] for unknown offerings or malformed profiles.
@@ -422,20 +381,7 @@ impl TrainedLorentz {
         request: &RecommendRequest<'_>,
         kind: ModelKind,
     ) -> Result<Recommendation, LorentzError> {
-        self.live_engine(kind).recommend_one(request)
-    }
-
-    /// Serves a batch of requests through a live Stage-2 model, interning
-    /// each profile once into a reused scratch vector. Results are
-    /// positionally aligned with `requests` and identical to calling
-    /// [`TrainedLorentz::recommend`] per request. Thin wrapper over
-    /// [`LiveModel`]; metrics are amortized per batch.
-    pub fn recommend_batch(
-        &self,
-        requests: &[RecommendRequest<'_>],
-        kind: ModelKind,
-    ) -> Vec<Result<Recommendation, LorentzError>> {
-        self.live_engine(kind).recommend_many(requests)
+        LiveModel::new(self, kind, None).recommend_one(request)
     }
 
     /// Interns a request's profile into packed store probe levels,
@@ -464,35 +410,6 @@ impl TrainedLorentz {
             }
         }
         Ok(())
-    }
-
-    /// Serves a recommendation from the precomputed prediction store (the
-    /// low-latency §4 path), falling back most-granular-first along the
-    /// learned hierarchy, then applies the λ adjustment. Thin wrapper over
-    /// [`StoreOnly`]; records one `serve.store.span_ns` observation plus
-    /// request/error counters.
-    ///
-    /// # Errors
-    /// Returns [`LorentzError`] for unknown offerings, malformed profiles,
-    /// or an empty store.
-    pub fn recommend_from_store(
-        &self,
-        request: &RecommendRequest<'_>,
-    ) -> Result<Recommendation, LorentzError> {
-        self.store_engine().recommend_one(request)
-    }
-
-    /// Serves a batch of requests from the prediction store, reusing one
-    /// probe-level buffer across the batch. Results are positionally
-    /// aligned with `requests` and identical to calling
-    /// [`TrainedLorentz::recommend_from_store`] per request. Thin wrapper
-    /// over [`StoreOnly`]; span and request/error counters are recorded
-    /// once per batch.
-    pub fn recommend_batch_from_store(
-        &self,
-        requests: &[RecommendRequest<'_>],
-    ) -> Vec<Result<Recommendation, LorentzError>> {
-        self.store_engine().recommend_many(requests)
     }
 
     /// Routes one satisfaction signal into the personalizer.
@@ -693,7 +610,9 @@ mod tests {
             path: path(997),
         };
         let live = t.recommend(&req, ModelKind::Hierarchical).unwrap();
-        let stored = t.recommend_from_store(&req).unwrap();
+        let stored = StoreOnly::new(&t, t.store(), None)
+            .recommend_one(&req)
+            .unwrap();
         assert_eq!(live.sku.capacity, stored.sku.capacity);
     }
 
@@ -705,7 +624,9 @@ mod tests {
             offering: ServerOffering::GeneralPurpose,
             path: path(996),
         };
-        let rec = t.recommend_from_store(&req).unwrap();
+        let rec = StoreOnly::new(&t, t.store(), None)
+            .recommend_one(&req)
+            .unwrap();
         assert!(rec.explanation.to_string().contains("default"));
         assert!(rec.sku.capacity.primary() >= 2.0);
     }
@@ -731,7 +652,7 @@ mod tests {
             })
             .collect();
         for kind in [ModelKind::Hierarchical, ModelKind::TargetEncoding] {
-            let batched = t.recommend_batch(&requests, kind);
+            let batched = LiveModel::new(&t, kind, None).recommend_many(&requests);
             assert_eq!(batched.len(), requests.len());
             for (req, got) in requests.iter().zip(&batched) {
                 match (t.recommend(req, kind), got) {
@@ -741,9 +662,9 @@ mod tests {
                 }
             }
         }
-        let batched = t.recommend_batch_from_store(&requests);
+        let batched = StoreOnly::new(&t, t.store(), None).recommend_many(&requests);
         for (req, got) in requests.iter().zip(&batched) {
-            match (t.recommend_from_store(req), got) {
+            match (StoreOnly::new(&t, t.store(), None).recommend_one(req), got) {
                 (Ok(single), Ok(b)) => assert_eq!(&single, b),
                 (Err(_), Err(_)) => {}
                 (single, got) => panic!("store mismatch: {single:?} vs {got:?}"),
@@ -776,7 +697,7 @@ mod tests {
 
     #[test]
     fn lambda_snapshot_overrides_batch_personalizer() {
-        use crate::personalizer::LambdaStore;
+        use crate::personalizer::ShardedLambdaStore;
         let t = trained();
         let p = path(1);
         let req = RecommendRequest {
@@ -787,13 +708,13 @@ mod tests {
 
         // Feedback flows into a live λ store seeded from the deployment;
         // the deployment's own personalizer stays frozen.
-        let store = LambdaStore::new(t.personalizer().clone());
+        let store = ShardedLambdaStore::new(t.personalizer().clone(), 1).unwrap();
         let sig = SatisfactionSignal::new(p, ServerOffering::GeneralPurpose, 1.0).unwrap();
         for _ in 0..5 {
             store.apply_signal(&sig);
         }
-        store.publish();
-        let snap = store.snapshot();
+        store.publish_delta_for(&p);
+        let snap = store.snapshot_for(&p);
 
         let frozen = t.recommend(&req, ModelKind::Hierarchical).unwrap();
         assert_eq!(frozen.lambda, 0.0);
@@ -808,8 +729,7 @@ mod tests {
         assert_eq!(live.stage2_capacity, 16.0, "stage-2 output unchanged");
 
         // The store-backed engine applies the same live λ.
-        let stored = t
-            .store_engine_with_lambdas(&snap)
+        let stored = StoreOnly::new(&t, t.store(), Some(&snap))
             .recommend_one(&req)
             .unwrap();
         assert_eq!(stored.sku.capacity, live.sku.capacity);
@@ -885,8 +805,12 @@ mod tests {
             assert_eq!(a.sku.capacity, b.sku.capacity, "{kind:?}");
             assert_eq!(a.lambda, b.lambda);
         }
-        let a = t.recommend_from_store(&req).unwrap();
-        let b = restored.recommend_from_store(&req).unwrap();
+        let a = StoreOnly::new(&t, t.store(), None)
+            .recommend_one(&req)
+            .unwrap();
+        let b = StoreOnly::new(&restored, restored.store(), None)
+            .recommend_one(&req)
+            .unwrap();
         assert_eq!(a.sku.capacity, b.sku.capacity);
         assert_eq!(restored.store().version(), t.store().version());
         assert!(TrainedLorentz::from_json("not json").is_err());
@@ -901,6 +825,8 @@ mod tests {
             path: path(1),
         };
         assert!(t.recommend(&req, ModelKind::Hierarchical).is_err());
-        assert!(t.recommend_from_store(&req).is_err());
+        assert!(StoreOnly::new(&t, t.store(), None)
+            .recommend_one(&req)
+            .is_err());
     }
 }

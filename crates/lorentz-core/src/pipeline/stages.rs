@@ -21,15 +21,14 @@ use std::collections::BTreeMap;
 /// Stage 1: rightsize every fleet record, producing per-record outcomes and
 /// the Stage-2 training labels (rightsized primary capacities).
 ///
-/// The fleet's traces are packed once into a columnar [`TraceColumns`]
-/// layout, then sized in a single parallel sweep: records are split into
-/// contiguous chunks, one scoped worker (with its own reusable
-/// [`Stage1Scratch`]) per chunk, and chunk results are concatenated in
-/// chunk order. Because chunks partition the record range in order and
-/// [`Rightsizer::rightsize_columns`](crate::Rightsizer::rightsize_columns)
-/// is byte-identical to the row path, the output is byte-identical to the
-/// sequential row loop at *any* thread cap (`0` = one worker per available
-/// core).
+/// Records are split into contiguous chunks, one scoped worker (with its
+/// own reusable [`Stage1Scratch`]) per chunk, and chunk results are
+/// concatenated in chunk order, so the output is byte-identical at *any*
+/// thread cap (`0` = one worker per available core). Each worker packs one
+/// trace at a time into its reused one-trace [`TraceColumns`] for
+/// [`Rightsizer::rightsize_columns`](crate::Rightsizer::rightsize_columns):
+/// packing the whole fleet up front costs a full extra pass over memory,
+/// while a one-trace copy stays in cache.
 pub(super) fn rightsize_fleet(
     ctx: &TrainContext<'_>,
     max_threads: usize,
@@ -37,7 +36,6 @@ pub(super) fn rightsize_fleet(
     let _span = obs::STAGE1_SPAN_NS.span();
     let fleet = ctx.fleet;
     let n = fleet.len();
-    let columns = TraceColumns::from_traces(fleet.traces());
     let threads = if max_threads == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -50,18 +48,19 @@ pub(super) fn rightsize_fleet(
     let chunk = n.div_ceil(threads);
 
     let results: Vec<Result<Vec<RightsizeOutcome>, LorentzError>> = std::thread::scope(|scope| {
-        let columns = &columns;
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 scope.spawn(move || {
                     let lo = w * chunk;
                     let hi = ((w + 1) * chunk).min(n);
                     let mut scratch = Stage1Scratch::default();
+                    let mut one = TraceColumns::from_traces(&[]);
                     let mut out = Vec::with_capacity(hi.saturating_sub(lo));
                     for i in lo..hi {
                         let catalog = ctx.catalog(fleet.offerings()[i])?;
+                        one.pack_one(&fleet.traces()[i]);
                         out.push(ctx.rightsizer.rightsize_columns(
-                            columns.trace(i),
+                            one.trace(0),
                             &fleet.user_capacities()[i],
                             catalog,
                             &mut scratch,

@@ -10,7 +10,7 @@
 
 use crate::config::RightsizerConfig;
 use lorentz_telemetry::columns::{kernels, TraceView};
-use lorentz_telemetry::UsageTrace;
+use lorentz_telemetry::{TraceColumns, UsageTrace};
 use lorentz_types::{Capacity, LorentzError, SkuCatalog};
 use serde::{Deserialize, Serialize};
 
@@ -138,20 +138,9 @@ impl Rightsizer {
             .collect())
     }
 
-    /// The L1 distance between the slack vector at `c` and the configured
-    /// targets — the objective of Eq. 7/8 generalized to multiple
-    /// dimensions (identical to the paper's per-resource objective in the
-    /// single-dimension evaluation setting).
-    fn slack_objective(&self, trace: &UsageTrace, c: &Capacity) -> Result<f64, LorentzError> {
-        Ok(self
-            .slack_ratio(trace, c)?
-            .iter()
-            .enumerate()
-            .map(|(r, s)| (s - self.config.slack_target_for(r)).abs())
-            .sum())
-    }
-
-    /// The complete rightsizing optimizer (Eq. 9).
+    /// The complete rightsizing optimizer (Eq. 9) for one trace: packs it
+    /// into a one-trace [`TraceColumns`] and runs
+    /// [`Self::rightsize_columns`] with a fresh scratch.
     ///
     /// Uncensored branch: among candidates with `T_w(c) ≤ τ`, pick the one
     /// whose slack is closest to the target. Censored branch (the workload
@@ -171,74 +160,29 @@ impl Rightsizer {
         user_capacity: &Capacity,
         catalog: &SkuCatalog,
     ) -> Result<RightsizeOutcome, LorentzError> {
-        user_capacity.check_space(trace.space())?;
-        let throttling_at_user = self.throttling(trace, user_capacity)?;
-        let censored = throttling_at_user > self.config.tau;
-
-        let mut best: Option<(usize, f64)> = None;
-        for (i, sku) in catalog.skus().iter().enumerate() {
-            let c = &sku.capacity;
-            let feasible = if censored {
-                // Eq. 8: c_r >= 2^K c⁰_r for every dimension.
-                let factor = f64::from(2u32.pow(self.config.k));
-                (0..c.len()).all(|r| c.get(r) >= factor * user_capacity.get(r))
-            } else {
-                // Eq. 7: T_w(c) <= τ.
-                self.throttling(trace, c)? <= self.config.tau
-            };
-            if !feasible {
-                continue;
-            }
-            let objective = self.slack_objective(trace, c)?;
-            if best.is_none_or(|(_, b)| objective < b) {
-                best = Some((i, objective));
-            }
-        }
-
-        let sku_index = match best {
-            Some((i, _)) => i,
-            None if censored => catalog.len() - 1, // saturate at the top
-            None => {
-                return Err(LorentzError::Infeasible(format!(
-                    "no catalog candidate meets throttling bound τ={}",
-                    self.config.tau
-                )))
-            }
-        };
-
-        let capacity = catalog.get(sku_index).capacity.clone();
-        let slack_at_chosen = self.slack_ratio(trace, &capacity)?;
-        let verdict = verdict(user_capacity, &capacity);
-        Ok(RightsizeOutcome {
-            capacity,
-            sku_index,
-            censored,
-            throttling_at_user,
-            slack_at_chosen,
-            verdict,
-        })
+        let columns = TraceColumns::from_traces(std::slice::from_ref(trace));
+        self.rightsize_columns(
+            columns.trace(0),
+            user_capacity,
+            catalog,
+            &mut Stage1Scratch::default(),
+        )
     }
 
-    /// Columnar Eq. 9: [`Self::rightsize`] over a [`TraceView`] into a
-    /// [`TraceColumns`](lorentz_telemetry::TraceColumns) fleet, byte-identical
-    /// to the row path on the same trace.
+    /// Eq. 9 over a [`TraceView`] into a [`TraceColumns`] fleet — the one
+    /// Stage-1 optimizer; [`Self::rightsize`] wraps it for a single trace.
     ///
-    /// Why it's faster, and why the output cannot drift:
-    ///
-    /// * Throttling counts are **integers** (bins above `η_r · c_r`), so any
-    ///   evaluation strategy that counts the same multiset yields the same
-    ///   `f64` probability. Single-dimension traces get every candidate's
-    ///   count — and the user capacity's — from one histogram pass
+    /// * Throttling counts are **integers** (bins above `η_r · c_r`).
+    ///   Single-dimension traces get every candidate's count — and the user
+    ///   capacity's — from one histogram pass
     ///   ([`kernels::count_above_many`]) instead of one scan per SKU;
     ///   multi-dimension traces union a reusable mask.
-    /// * Slack ratios are **order-sensitive sums**, so each one is folded in
-    ///   bin order — the exact row-path expression — and computed exactly as
-    ///   lazily as the row path (feasible candidates only). The winner's
-    ///   vector is kept in scratch, saving the row path's final recompute of
-    ///   the bit-identical value.
-    /// * Candidate feasibility, best-objective selection, tie-breaks, and
-    ///   the censored/saturate/infeasible branches are the same code shape
-    ///   in the same catalog order.
+    /// * Slack ratios are **order-sensitive sums**, folded in bin order
+    ///   ([`kernels::checked_slack_ratio`], the same fold
+    ///   [`Self::slack_ratio`] uses) and only for feasible candidates. The
+    ///   winner's vector is kept in scratch rather than recomputed.
+    /// * Candidates are scored in catalog order; the first strictly best
+    ///   objective wins ties.
     ///
     /// `scratch` is reused across calls; one per worker thread.
     ///
@@ -263,10 +207,9 @@ impl Rightsizer {
         // Single-dimension fast path: every candidate's throttling count —
         // plus the user capacity's — comes out of ONE histogram pass over
         // the column (`count_above_many`) instead of one full scan per
-        // candidate. Counts are integers, so the batching cannot change a
-        // single bit of the throttling probabilities. Wrong-arity
-        // candidates get an `∞` placeholder (count 0) that is never read —
-        // the same `check_space` the row path performs errors out first.
+        // candidate. Wrong-arity candidates get an `∞` placeholder (count 0)
+        // that is never read: the candidate loop's `check_space` errors out
+        // first.
         let single = dims == 1;
         if single {
             let eta0 = self.config.eta_for(0);
@@ -295,13 +238,13 @@ impl Rightsizer {
         let mut best: Option<(usize, f64)> = None;
         for (i, sku) in catalog.skus().iter().enumerate() {
             let c = &sku.capacity;
+            c.check_space(trace.space())?;
             let feasible = if censored {
                 // Eq. 8: c_r >= 2^K c⁰_r for every dimension.
                 let factor = f64::from(2u32.pow(self.config.k));
                 (0..c.len()).all(|r| c.get(r) >= factor * user_capacity.get(r))
             } else {
                 // Eq. 7: T_w(c) <= τ.
-                c.check_space(trace.space())?;
                 let count = if single {
                     scratch.counts[i]
                 } else {
@@ -312,9 +255,8 @@ impl Rightsizer {
             if !feasible {
                 continue;
             }
-            c.check_space(trace.space())?;
-            // Lazy slack, exactly like the row path: only feasible
-            // candidates pay the per-dimension pass, folded in bin order.
+            // Lazy slack: only feasible candidates pay the per-dimension
+            // pass, folded in bin order.
             scratch.cand_slack.clear();
             for r in 0..dims {
                 scratch
@@ -330,8 +272,7 @@ impl Rightsizer {
             if best.is_none_or(|(_, b)| objective < b) {
                 best = Some((i, objective));
                 // Keep the winner's slack vector: `slack_at_chosen` is this
-                // very value, so the row path's final recompute is skipped
-                // without changing a bit.
+                // very value.
                 std::mem::swap(&mut scratch.best_slack, &mut scratch.cand_slack);
             }
         }
@@ -348,7 +289,6 @@ impl Rightsizer {
         };
 
         let capacity = catalog.get(sku_index).capacity.clone();
-        capacity.check_space(trace.space())?;
         let slack_at_chosen: Vec<f64> = if best.is_some() {
             scratch.best_slack.clone()
         } else {
@@ -370,8 +310,7 @@ impl Rightsizer {
     }
 
     /// Throttled-bin count of Eq. 3–4 for multi-dimensional traces: a
-    /// reusable any-dim mask union. Integer-valued, hence identical to the
-    /// row loop.
+    /// reusable any-dim mask union.
     fn masked_throttled_count(
         &self,
         trace: &TraceView<'_>,
@@ -607,90 +546,6 @@ mod tests {
             .rightsize(&t, &Capacity::scalar(16.0), &catalog())
             .unwrap();
         assert_eq!(strict.capacity.primary(), 8.0);
-    }
-
-    #[test]
-    fn columnar_rightsize_is_byte_identical_to_row_path() {
-        use lorentz_telemetry::TraceColumns;
-        let s = sizer();
-        let cat = catalog();
-        // Steady, spiky, censored, idle, and single-bin workloads.
-        let traces = vec![
-            trace(&[2.0; 20]),
-            {
-                let mut vals = vec![1.0; 19];
-                vals.push(3.9);
-                trace(&vals)
-            },
-            trace(&[4.0; 10]),
-            trace(&[0.05; 50]),
-            trace(&[128.0; 10]),
-            trace(&[7.3]),
-        ];
-        let users = [16.0, 16.0, 4.0, 32.0, 128.0, 8.0];
-        let cols = TraceColumns::from_traces(&traces);
-        let mut scratch = Stage1Scratch::default();
-        for (i, t) in traces.iter().enumerate() {
-            let user = Capacity::scalar(users[i]);
-            let row = s.rightsize(t, &user, &cat).unwrap();
-            let col = s
-                .rightsize_columns(cols.trace(i), &user, &cat, &mut scratch)
-                .unwrap();
-            assert_eq!(row, col, "trace {i}");
-            // Bit-exact, not just PartialEq-equal.
-            for (a, b) in row.slack_at_chosen.iter().zip(&col.slack_at_chosen) {
-                assert_eq!(a.to_bits(), b.to_bits(), "trace {i}");
-            }
-            assert_eq!(
-                row.throttling_at_user.to_bits(),
-                col.throttling_at_user.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn columnar_rightsize_multi_dimension_matches_row() {
-        use lorentz_telemetry::TraceColumns;
-        let cfg = RightsizerConfig {
-            eta: vec![0.95, 0.95],
-            slack_target: vec![0.5, 0.5],
-            ..RightsizerConfig::default()
-        };
-        let s = Rightsizer::new(&cfg).unwrap();
-        let t = UsageTrace::new(
-            lorentz_types::ResourceSpace::vcores_memory(),
-            vec![
-                RegularSeries::new(300.0, vec![1.0, 1.0, 2.5]).unwrap(),
-                RegularSeries::new(300.0, vec![1.0, 7.9, 3.0]).unwrap(),
-            ],
-        )
-        .unwrap();
-        let catalog = SkuCatalog::azure_postgres_with_memory(ServerOffering::GeneralPurpose);
-        let user = t.peak();
-        let user = Capacity::new(user.iter().map(|&v| (v * 2.0).max(1.0)).collect()).unwrap();
-        let cols = TraceColumns::from_traces(std::slice::from_ref(&t));
-        let mut scratch = Stage1Scratch::default();
-        let row = s.rightsize(&t, &user, &catalog).unwrap();
-        let col = s
-            .rightsize_columns(cols.trace(0), &user, &catalog, &mut scratch)
-            .unwrap();
-        assert_eq!(row, col);
-    }
-
-    #[test]
-    fn columnar_throttling_counts_match_row_throttling() {
-        use lorentz_telemetry::TraceColumns;
-        let s = sizer();
-        let t = trace(&[1.0, 1.9, 2.0, 0.5, 3.9, 2.0]);
-        let cols = TraceColumns::from_traces(std::slice::from_ref(&t));
-        let mut scratch = Stage1Scratch::default();
-        // Seed the sorted scratch the way rightsize_columns does.
-        let user = Capacity::scalar(2.0);
-        let row = s.rightsize(&t, &user, &catalog()).unwrap();
-        let col = s
-            .rightsize_columns(cols.trace(0), &user, &catalog(), &mut scratch)
-            .unwrap();
-        assert_eq!(row.throttling_at_user, col.throttling_at_user);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The sharded prediction store: N per-shard atomic-Arc snapshot slots
-//! behind one multiply-fold router.
+//! behind one multiply-fold router — the concurrent serving store.
 //!
-//! [`SharedPredictionStore`](super::SharedPredictionStore) hot-swaps one
-//! `Arc<PredictionStore>`; at million-key scale that means every publish
-//! rebuilds the whole entry set and every publisher serializes on one
-//! slot. [`ShardedPredictionStore`] splits the packed-`u64` key space
-//! across N power-of-two shards selected by a
+//! Each shard is an immutable `Arc<PredictionStore>` in a mutex-guarded
+//! slot: readers take the lock only long enough to clone the `Arc` (a
+//! refcount bump, no data copy) and probe lock-free; publishers build the
+//! next snapshot off to the side and swap the pointer, so readers never
+//! wait on a publisher — the in-process analogue of the §4 online store's
+//! copy-then-switch deployment. [`ShardedPredictionStore`] splits the
+//! packed-`u64` key space across N power-of-two shards selected by a
 //! [`ShardRouter`](lorentz_types::ShardRouter) multiply-fold of the packed
 //! key — the same discipline the λ-tables hash with — so:
 //!
@@ -15,9 +17,9 @@
 //!   touches exactly one slot — readers of the other N−1 shards never
 //!   observe so much as a pointer swap;
 //! * a **lookup** probes each hierarchy level in the one shard that could
-//!   hold it, preserving the most-granular-first fallback semantics of the
-//!   unsharded store bit for bit (the shard-equivalence proptest pins
-//!   `sharded lookup ≡ unsharded lookup` for arbitrary key sets);
+//!   hold it, preserving the most-granular-first fallback semantics of
+//!   [`PredictionStore::lookup`] bit for bit (the shard-equivalence
+//!   proptest pins `N shards ≡ 1 shard` for arbitrary key sets);
 //! * a **batched lookup** pins all N shard snapshots once (N refcount
 //!   bumps), so a whole batch reads a frozen per-shard world while
 //!   publishers keep swapping.
@@ -207,10 +209,8 @@ impl ShardedPredictionStore {
 
     /// Serves many lookups against one pinned set of shard snapshots,
     /// appending one result per request to `out`. Metrics are amortized
-    /// exactly like
-    /// [`SharedPredictionStore::lookup_batch`](super::SharedPredictionStore::lookup_batch):
-    /// one `store.lookup_batch.span_ns` observation and one update per
-    /// outcome counter.
+    /// with the batch: one `store.lookup_batch.span_ns` observation and one
+    /// update per outcome counter, tallied from the appended results.
     pub fn lookup_batch(
         &self,
         requests: &[(ServerOffering, &[(FeatureId, ValueId)])],
@@ -486,5 +486,128 @@ mod tests {
                 .0,
             4.0
         );
+    }
+
+    /// Two distinct keys that route to the same shard of an `n`-shard store.
+    fn same_shard_pair(store: &ShardedPredictionStore) -> (StoreKey, StoreKey) {
+        let first = key(CUSTOMER, 0);
+        let shard = store.shard_of_packed(first.pack());
+        let second = (1..)
+            .map(|i| key(CUSTOMER, i))
+            .find(|k| store.shard_of_packed(k.pack()) == shard)
+            .expect("some key shares the shard");
+        (first, second)
+    }
+
+    #[test]
+    fn concurrent_publish_never_tears_a_shard() {
+        for shards in [1, 4] {
+            let store = ShardedPredictionStore::new(shards).unwrap();
+            let (a, b) = same_shard_pair(&store);
+            let world = |capacity: f64| PublishBatch {
+                entries: vec![(a, capacity), (b, capacity)],
+                defaults: vec![(ServerOffering::GeneralPurpose, capacity)],
+            };
+            store.publish(world(8.0)).unwrap();
+            let (levels_a, levels_b) = ([(a.feature, a.value)], [(b.feature, b.value)]);
+            std::thread::scope(|scope| {
+                // Publisher: alternate between two consistent worlds.
+                let publisher = scope.spawn(|| {
+                    for i in 0..50u64 {
+                        let cap = if i % 2 == 0 { 4.0 } else { 64.0 };
+                        store.publish(world(cap)).unwrap();
+                    }
+                });
+                // Readers: two keys of one shard always agree within one
+                // batch (the batch pins that shard's snapshot once), and the
+                // pinned version never goes backwards.
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        let mut last_version = 0;
+                        for _ in 0..200 {
+                            let mut results = Vec::new();
+                            store.lookup_batch(
+                                &[
+                                    (ServerOffering::GeneralPurpose, &levels_a[..]),
+                                    (ServerOffering::GeneralPurpose, &levels_b[..]),
+                                ],
+                                &mut results,
+                            );
+                            let (x, _) = results[0].as_ref().unwrap();
+                            let (y, _) = results[1].as_ref().unwrap();
+                            assert_eq!(x, y, "torn read at {shards} shards");
+                            let version = store.snapshot().version();
+                            assert!(version >= last_version, "version went backwards");
+                            last_version = version;
+                        }
+                    });
+                }
+                publisher.join().unwrap();
+            });
+            assert_eq!(store.version(), 51);
+            assert_eq!(store.len(), 2);
+        }
+    }
+
+    #[test]
+    fn snapshots_are_immutable_arcs_surviving_publish() {
+        for shards in [1, 4] {
+            let store = ShardedPredictionStore::new(shards).unwrap();
+            store.publish(batch(8)).unwrap();
+            let levels = [(CUSTOMER, ValueId(3))];
+            let before = store.snapshot();
+            let v_before = before.version();
+            store.publish(PublishBatch::default()).unwrap();
+            // The held snapshot is untouched by the publish: same version,
+            // and its entries still answer.
+            assert_eq!(before.version(), v_before);
+            let (c, _) = before
+                .lookup(ServerOffering::GeneralPurpose, &levels)
+                .unwrap();
+            assert_eq!(c, 4.0);
+            // A fresh snapshot sees the new world and shares no shard
+            // allocation with the old one.
+            let after = store.snapshot();
+            assert_eq!(after.version(), v_before + 1);
+            assert!(after
+                .lookup(ServerOffering::GeneralPurpose, &levels)
+                .is_err());
+            for (was, now) in before.shards.iter().zip(after.shards.iter()) {
+                assert!(!Arc::ptr_eq(was, now));
+            }
+            // Without an intervening publish, snapshotting is a pure
+            // refcount bump on the same allocations.
+            let again = store.snapshot();
+            for (now, same) in after.shards.iter().zip(again.shards.iter()) {
+                assert!(Arc::ptr_eq(now, same));
+            }
+        }
+    }
+
+    #[test]
+    fn versions_are_monotone() {
+        for shards in [1, 4] {
+            let store = ShardedPredictionStore::new(shards).unwrap();
+            let v1 = store.publish(PublishBatch::default()).unwrap();
+            let v2 = store.publish(PublishBatch::default()).unwrap();
+            assert!(v2 > v1);
+            let (a, _) = same_shard_pair(&store);
+            let shard = store.shard_of_packed(a.pack());
+            let v3 = store
+                .publish_shard(
+                    shard,
+                    PublishBatch {
+                        entries: vec![(a, 1.0)],
+                        defaults: vec![],
+                    },
+                )
+                .unwrap();
+            assert!(v3 > v2);
+            assert_eq!(store.version(), v3);
+            assert_eq!(store.snapshot().version(), v3);
+            assert_eq!(store.len(), 1);
+            store.publish(PublishBatch::default()).unwrap();
+            assert!(store.is_empty());
+        }
     }
 }

@@ -758,8 +758,7 @@ fn serve_job(shared: &Shared, job: Job) -> (ServeResponse, bool) {
             // pin one consistent store world for this request, publishes
             // land in later snapshots.
             let snapshot = shared.store.snapshot();
-            StoreOnly::with_probe_and_lambdas(&shared.deployment, &snapshot, &lambdas)
-                .recommend_one(&borrowed)
+            StoreOnly::new(&shared.deployment, &snapshot, Some(&lambdas)).recommend_one(&borrowed)
         } else {
             shared
                 .deployment

@@ -8,8 +8,9 @@
 //! leader's WAL through the filesystem (same-machine standby),
 //! [`TcpSource`] subscribes to the leader's replication listener over a
 //! socket (two-machine standby) — and applies the deltas to its own
-//! [`LambdaStore`]: no propagation re-run, no full-table transfer, so
-//! either transport converges to the leader's published λ bit-for-bit.
+//! one-shard [`ShardedLambdaStore`]: no propagation re-run, no full-table
+//! transfer, so either transport converges to the leader's published λ
+//! bit-for-bit.
 //!
 //! While following, the replica is **read-only by construction**: only
 //! the leader mints epochs; the follower replays them. Startup is
@@ -57,7 +58,9 @@ use crate::replication::{
 };
 use crate::types::{EngineError, ServeConfig, ServeError, ServeRequest, ServeResponse};
 use lorentz_core::obs;
-use lorentz_core::personalizer::{LambdaSnapshot, LambdaStore, PollBackoff, WalEntry, WalTailer};
+use lorentz_core::personalizer::{
+    LambdaSnapshot, PollBackoff, ShardedLambdaStore, WalEntry, WalTailer,
+};
 use lorentz_core::{
     ModelKind, RecommendEngine, RecommendRequest, Recommendation, SatisfactionSignal, SignalWal,
     TrainedLorentz,
@@ -153,9 +156,6 @@ pub struct FollowerStats {
     /// the log shrank. Applying is idempotent: each is dropped without
     /// touching λ.
     pub duplicates: u64,
-    /// Legacy bare-signal records replayed through propagation (visible
-    /// with the next delta epoch).
-    pub legacy: u64,
     /// The highest epoch seen in the stream so far.
     pub last_epoch: u64,
     /// The highest leader term seen in the stream so far (0 until the
@@ -206,10 +206,11 @@ struct PromotedLeader {
 /// State shared between the tail thread and the serving side.
 struct FollowerShared {
     deployment: Arc<TrainedLorentz>,
-    /// The replicated λ-state. Behind an `RwLock` only for full resync,
-    /// which swaps in a fresh store; applies and reads go through the
-    /// store's own interior mutability under the read lock.
-    lambdas: RwLock<LambdaStore>,
+    /// The replicated λ-state: one shard, so the global epoch is the
+    /// shard's and every delta lands whole. Behind an `RwLock` only for
+    /// full resync, which swaps in a fresh store; applies and reads go
+    /// through the store's own interior mutability under the read lock.
+    lambdas: RwLock<ShardedLambdaStore>,
     config: FollowerConfig,
     stop: AtomicBool,
     stats: Mutex<FollowerStats>,
@@ -314,7 +315,7 @@ impl FollowerEngine {
     }
 
     fn make_shared(deployment: Arc<TrainedLorentz>, config: FollowerConfig) -> Arc<FollowerShared> {
-        let lambdas = RwLock::new(LambdaStore::new(deployment.personalizer().clone()));
+        let lambdas = RwLock::new(replica_lambdas(&deployment));
         Arc::new(FollowerShared {
             deployment,
             lambdas,
@@ -444,7 +445,7 @@ impl FollowerEngine {
                 .lambdas
                 .read()
                 .expect("follower lambdas poisoned")
-                .snapshot(),
+                .snapshot_for(path),
         }
     }
 
@@ -463,7 +464,8 @@ impl FollowerEngine {
                 .lambdas
                 .read()
                 .expect("follower lambdas poisoned")
-                .snapshot(),
+                .snapshot_shard(0)
+                .expect("the replica store has one shard"),
         }
     }
 
@@ -778,9 +780,9 @@ fn try_promote(
 }
 
 /// Applies one polled batch: delta records advance the local epoch chain
-/// (stale epochs from a rescan are skipped — replay is idempotent);
-/// legacy bare-signal records go through propagation and become visible
-/// with the next delta's swap. Socket-sourced frames carrying raw bytes
+/// (stale epochs from a rescan are skipped — replay is idempotent) and
+/// term markers raise the observed leader term. Socket-sourced frames
+/// carrying raw bytes
 /// are appended to the local WAL first, so what the follower applied is
 /// what it can replay.
 fn apply_sourced(
@@ -814,10 +816,6 @@ fn apply_sourced(
                     }
                 }
             }
-            WalEntry::Signal(signal) => {
-                lambdas.apply_signal(&signal);
-                stats.legacy += 1;
-            }
             WalEntry::Term(term) => {
                 stats.leader_term = stats.leader_term.max(term);
             }
@@ -827,6 +825,13 @@ fn apply_sourced(
     obs::ENGINE_REPLICATION_LAG_EPOCHS.set(lag as i64);
 }
 
+/// The replica's λ-state at the batch-trained epoch 1: one shard holding
+/// every profile of the deployment.
+fn replica_lambdas(deployment: &TrainedLorentz) -> ShardedLambdaStore {
+    ShardedLambdaStore::new(deployment.personalizer().clone(), 1)
+        .expect("one shard is a valid shard count")
+}
+
 /// Full resync: the leader's log no longer reaches back to our epoch, so
 /// the replicated λ-state (and the local copy of the log) is discarded;
 /// the stream that follows rebuilds both from the log's start.
@@ -834,7 +839,7 @@ fn full_resync(shared: &FollowerShared, local_wal: Option<&mut SignalWal>) {
     if let Some(wal) = local_wal {
         let _ = wal.truncate_all();
     }
-    let fresh = LambdaStore::new(shared.deployment.personalizer().clone());
+    let fresh = replica_lambdas(&shared.deployment);
     *shared.lambdas.write().expect("follower lambdas poisoned") = fresh;
     let mut stats = shared.stats.lock().expect("follower stats poisoned");
     stats.last_epoch = 0;
@@ -875,9 +880,11 @@ mod tests {
     fn stale_epochs_are_skipped_not_fatal() {
         // Exercise the apply path directly on a store, as the follower
         // does after a tailer rescan re-reads old records.
-        let store = LambdaStore::new(
+        let store = ShardedLambdaStore::new(
             lorentz_core::Personalizer::new(lorentz_core::PersonalizerConfig::default()).unwrap(),
-        );
+            1,
+        )
+        .unwrap();
         let r = record(1, 0.5, 2);
         assert!(store.apply_delta(&r.delta).is_ok());
         assert!(store.apply_delta(&r.delta).is_err(), "duplicate skipped");

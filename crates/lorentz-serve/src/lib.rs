@@ -6,11 +6,11 @@
 //! crate owns that hot path:
 //!
 //! * **Hot-swap snapshots** — the engine serves store lookups from
-//!   [`SharedPredictionStore`](lorentz_core::SharedPredictionStore)
-//!   snapshots: readers clone an `Arc` out of a mutex-guarded slot (the
-//!   lock is held only for the refcount bump) and probe an immutable store
-//!   version lock-free, while [`ServingEngine::publish`] swaps in a fresh
-//!   snapshot atomically — zero-downtime re-publish under drift.
+//!   [`ShardedPredictionStore`](lorentz_core::ShardedPredictionStore)
+//!   snapshots: readers clone each shard's `Arc` out of a mutex-guarded
+//!   slot (the lock is held only for the refcount bump) and probe
+//!   immutable store versions lock-free, while [`ServingEngine::publish`]
+//!   swaps in fresh snapshots — zero-downtime re-publish under drift.
 //! * **Worker-pool execution** — [`ServingEngine::start`] spawns a fixed
 //!   worker pool behind a bounded submission queue.
 //!   [`ServingEngine::submit`] applies backpressure: a full queue rejects

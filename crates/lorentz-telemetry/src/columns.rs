@@ -1,11 +1,11 @@
 //! Columnar (structure-of-arrays) telemetry for the training fast path.
 //!
 //! The row layout — one [`UsageTrace`] holding one `Vec<f64>` per resource
-//! dimension — is what serving and the public API speak, but Stage-1
-//! training sweeps the *whole fleet's* signal per candidate capacity. This
-//! module packs every dimension of every trace into one contiguous `f64`
-//! buffer with per-trace offsets, so those sweeps read straight-line memory
-//! and reuse scratch across candidates.
+//! dimension — is what serving and the public API speak, but the Stage-1
+//! kernels read each trace's dimensions as contiguous slices. This module
+//! packs every dimension of one or many traces into one contiguous `f64`
+//! buffer with per-trace offsets, so those kernels read straight-line
+//! memory and reuse scratch across candidates.
 //!
 //! Layout: trace `i` owns `values[trace_offsets[i] .. trace_offsets[i+1]]`,
 //! laid out dimension-major — dimension `r` of trace `i` is the slice
@@ -47,28 +47,42 @@ impl TraceColumns {
     /// Packs row-oriented traces into the columnar layout.
     pub fn from_traces(traces: &[UsageTrace]) -> Self {
         let total: usize = traces.iter().map(|t| t.dims() * t.bins()).sum();
-        let mut values = Vec::with_capacity(total);
-        let mut trace_offsets = Vec::with_capacity(traces.len() + 1);
-        let mut spaces = Vec::with_capacity(traces.len());
-        let mut bin_seconds = Vec::with_capacity(traces.len());
-        let mut bins = Vec::with_capacity(traces.len());
-        trace_offsets.push(0);
+        let mut columns = Self {
+            values: Vec::with_capacity(total),
+            trace_offsets: Vec::with_capacity(traces.len() + 1),
+            spaces: Vec::with_capacity(traces.len()),
+            bin_seconds: Vec::with_capacity(traces.len()),
+            bins: Vec::with_capacity(traces.len()),
+        };
+        columns.trace_offsets.push(0);
         for t in traces {
-            for r in 0..t.dims() {
-                values.extend_from_slice(t.resource(r).values());
-            }
-            trace_offsets.push(values.len());
-            spaces.push(t.space().clone());
-            bin_seconds.push(t.bin_seconds());
-            bins.push(t.bins());
+            columns.push(t);
         }
-        Self {
-            values,
-            trace_offsets,
-            spaces,
-            bin_seconds,
-            bins,
+        columns
+    }
+
+    /// Replaces the contents with the one trace `trace`, reusing the
+    /// buffers: a sweep that sizes traces one at a time packs each without
+    /// allocating for its values.
+    pub fn pack_one(&mut self, trace: &UsageTrace) {
+        self.values.clear();
+        self.trace_offsets.clear();
+        self.spaces.clear();
+        self.bin_seconds.clear();
+        self.bins.clear();
+        self.trace_offsets.push(0);
+        self.push(trace);
+    }
+
+    /// Appends one trace after the packed ones.
+    fn push(&mut self, t: &UsageTrace) {
+        for r in 0..t.dims() {
+            self.values.extend_from_slice(t.resource(r).values());
         }
+        self.trace_offsets.push(self.values.len());
+        self.spaces.push(t.space().clone());
+        self.bin_seconds.push(t.bin_seconds());
+        self.bins.push(t.bins());
     }
 
     /// Builds columns from raw parts: one `(space, bin_seconds, columns)`
@@ -392,6 +406,17 @@ mod tests {
             vec![reg(&[1.0, 3.0, 2.0]), reg(&[8.0, 4.0, 6.0])],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn pack_one_reuses_the_buffer_for_one_trace() {
+        let a = UsageTrace::single(RegularSeries::new(300.0, vec![1.0, 2.0, 3.0]).unwrap());
+        let b = UsageTrace::single(RegularSeries::new(60.0, vec![4.0]).unwrap());
+        let mut one = TraceColumns::from_traces(&[]);
+        for t in [&a, &b, &a] {
+            one.pack_one(t);
+            assert_eq!(one, TraceColumns::from_traces(std::slice::from_ref(t)));
+        }
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //!   the leader, tailed directly;
 //! * `tcp://HOST:PORT` — a socket address, resolved at connect/bind time.
 //!
-//! A bare path with no scheme is accepted only through
-//! [`Endpoint::parse_compat`], which flags it so callers can print a
-//! deprecation warning; new code and docs always write the scheme.
+//! A string with no scheme — a bare path included — is a typed "has no
+//! scheme" error.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -30,8 +29,7 @@ pub enum Endpoint {
 
 impl Endpoint {
     /// Parse an endpoint URI. Requires an explicit scheme; a scheme-less
-    /// string is an error (use [`Endpoint::parse_compat`] at CLI surfaces
-    /// that must keep the deprecated bare-path form working).
+    /// string is an error.
     pub fn parse(s: &str) -> Result<Endpoint, LorentzError> {
         let s = s.trim();
         if let Some(rest) = s
@@ -69,26 +67,6 @@ impl Endpoint {
         Err(LorentzError::InvalidConfig(format!(
             "endpoint '{s}' has no scheme (expected file:PATH or tcp://HOST:PORT)"
         )))
-    }
-
-    /// Parse an endpoint, additionally accepting the deprecated bare-path
-    /// form. Returns `(endpoint, used_bare_path_alias)` so the caller can
-    /// warn on the second component.
-    pub fn parse_compat(s: &str) -> Result<(Endpoint, bool), LorentzError> {
-        match Endpoint::parse(s) {
-            Ok(ep) => Ok((ep, false)),
-            Err(e) => {
-                let bare = !s.contains("://")
-                    && !s.starts_with("file:")
-                    && !s.starts_with("tcp:")
-                    && !s.trim().is_empty();
-                if bare {
-                    Ok((Endpoint::File(PathBuf::from(s.trim())), true))
-                } else {
-                    Err(e)
-                }
-            }
-        }
     }
 
     /// The filesystem path, if this is a `file:` endpoint.
@@ -148,21 +126,11 @@ mod tests {
         assert!(Endpoint::parse("tcp://host:notaport").is_err());
         assert!(Endpoint::parse("udp://host:1").is_err());
         assert!(Endpoint::parse("file:").is_err());
-        assert!(Endpoint::parse("/bare/path.wal").is_err());
+        let bare = Endpoint::parse("/bare/path.wal").unwrap_err();
+        assert!(bare.to_string().contains("has no scheme"), "{bare}");
         // IPv6 hosts would misparse around the colons; rejected outright.
         assert!(Endpoint::parse("tcp://::1:7400").is_err());
         assert!(Endpoint::parse("tcp://[::1]:7400").is_err());
-    }
-
-    #[test]
-    fn compat_accepts_bare_paths_and_flags_them() {
-        let (ep, deprecated) = Endpoint::parse_compat("/tmp/replica.wal").unwrap();
-        assert_eq!(ep, Endpoint::File(PathBuf::from("/tmp/replica.wal")));
-        assert!(deprecated);
-        let (ep, deprecated) = Endpoint::parse_compat("tcp://h:1").unwrap();
-        assert_eq!(ep, Endpoint::Tcp("h:1".to_owned()));
-        assert!(!deprecated);
-        assert!(Endpoint::parse_compat("tcp://h").is_err());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 
 use lorentz::core::evaluate;
 use lorentz::core::{
-    LorentzConfig, LorentzPipeline, ModelKind, RecommendRequest, Rightsizer, TrainedLorentz,
+    LorentzConfig, LorentzPipeline, ModelKind, RecommendEngine, RecommendRequest, Rightsizer,
+    StoreOnly, TrainedLorentz,
 };
 use lorentz::simdata::fleet::FleetConfig;
 use lorentz::types::{
@@ -95,8 +96,8 @@ fn main() {
         offering: ServerOffering::GeneralPurpose,
         path,
     };
-    let rec = serving
-        .recommend_from_store(&request)
+    let rec = StoreOnly::new(&serving, serving.store(), None)
+        .recommend_one(&request)
         .expect("store lookup succeeds");
     println!("request (vertical known, rest missing) -> {rec}");
 
@@ -106,8 +107,8 @@ fn main() {
         offering: ServerOffering::GeneralPurpose,
         path,
     };
-    let rec = serving
-        .recommend_from_store(&anonymous)
+    let rec = StoreOnly::new(&serving, serving.store(), None)
+        .recommend_one(&anonymous)
         .expect("default lookup succeeds");
     println!("anonymous request -> {rec}");
 
@@ -126,8 +127,8 @@ fn main() {
             ),
         );
     }
-    let rec = serving
-        .recommend_from_store(&request)
+    let rec = StoreOnly::new(&serving, serving.store(), None)
+        .recommend_one(&request)
         .expect("store lookup succeeds");
     println!("after 3 CRIs (each gamma={gamma:+.0}) -> {rec}");
 

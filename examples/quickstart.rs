@@ -5,7 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use lorentz::core::{LorentzConfig, LorentzPipeline, ModelKind, RecommendRequest};
+use lorentz::core::{
+    LorentzConfig, LorentzPipeline, ModelKind, RecommendEngine, RecommendRequest, StoreOnly,
+};
 use lorentz::simdata::fleet::FleetConfig;
 use lorentz::types::{CustomerId, ResourceGroupId, ResourcePath, ServerOffering, SubscriptionId};
 
@@ -83,8 +85,8 @@ fn main() {
 
     // 4. The same request served from the precomputed prediction store
     //    (the paper's low-latency production path).
-    let stored = trained
-        .recommend_from_store(&request)
+    let stored = StoreOnly::new(&trained, trained.store(), None)
+        .recommend_one(&request)
         .expect("store lookup succeeds");
     println!("store -> {stored}");
 }

@@ -2,8 +2,8 @@
 //! fleet to personalized recommendations.
 
 use lorentz::core::{
-    evaluate, LorentzConfig, LorentzPipeline, ModelKind, RecommendRequest, Rightsizer,
-    SatisfactionSignal,
+    evaluate, LorentzConfig, LorentzPipeline, ModelKind, RecommendEngine, RecommendRequest,
+    Rightsizer, SatisfactionSignal, StoreOnly,
 };
 use lorentz::simdata::fleet::FleetConfig;
 use lorentz::simdata::upscale::{upscale_fleet, UpscaleConfig};
@@ -91,7 +91,9 @@ fn full_pipeline_trains_and_recommends() {
             path: synth.fleet.paths()[row],
         };
         let live = trained.recommend(&req, ModelKind::Hierarchical).unwrap();
-        let stored = trained.recommend_from_store(&req).unwrap();
+        let stored = StoreOnly::new(&trained, trained.store(), None)
+            .recommend_one(&req)
+            .unwrap();
         assert_eq!(
             live.sku.capacity, stored.sku.capacity,
             "row {row}: live vs store disagree"

@@ -80,16 +80,14 @@ proptest! {
         }
     }
 
-    /// The compat parser accepts exactly the bare paths (flagging them as
-    /// deprecated) and never re-labels a scheme-carrying string.
+    /// A bare path is a typed "has no scheme" error; the same path behind
+    /// `file:` parses to exactly that path.
     #[test]
-    fn compat_flags_bare_paths(ix in collection::vec(0usize..1000, 1..24)) {
+    fn bare_paths_need_a_scheme(ix in collection::vec(0usize..1000, 1..24)) {
         let p = path(&ix);
-        let (ep, deprecated) = Endpoint::parse_compat(&p).expect("bare path accepted");
-        prop_assert!(deprecated);
-        prop_assert_eq!(ep, Endpoint::File(PathBuf::from(p.clone())));
-        let (ep, deprecated) = Endpoint::parse_compat(&format!("file:{p}")).unwrap();
-        prop_assert!(!deprecated);
+        let err = Endpoint::parse(&p).expect_err("bare path rejected");
+        prop_assert!(err.to_string().contains("has no scheme"), "{err}");
+        let ep = Endpoint::parse(&format!("file:{p}")).unwrap();
         prop_assert_eq!(ep, Endpoint::File(PathBuf::from(p)));
     }
 }

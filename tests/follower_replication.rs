@@ -3,6 +3,8 @@
 //! including across a simulated kill-mid-append (torn final record) and
 //! the leader's subsequent restart, which truncates the tear.
 
+mod common;
+
 use lorentz::core::{LorentzConfig, LorentzPipeline, SatisfactionSignal, TrainedLorentz};
 use lorentz::serve::{FollowerConfig, FollowerEngine, ServeConfig, ServingEngine};
 use lorentz::simdata::fleet::FleetConfig;
@@ -34,11 +36,7 @@ fn deployment() -> Arc<TrainedLorentz> {
 }
 
 fn wal_path(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("lorentz-replication-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("signals.wal")
+    common::scratch_dir(&format!("replication-{name}")).join("signals.wal")
 }
 
 fn hot_path() -> ResourcePath {
@@ -104,7 +102,6 @@ fn follower_converges_on_a_live_leader_wal() {
     let stats = follower.stop();
     assert_eq!(stats.applied, 3);
     assert_eq!(stats.skipped, 0);
-    assert_eq!(stats.legacy, 0);
 }
 
 #[test]
@@ -155,5 +152,4 @@ fn torn_record_stalls_the_follower_until_the_leader_truncates() {
     assert_lambda_converged(&follower, leader_lambda);
     let stats = follower.stop();
     assert_eq!(stats.applied, 3);
-    assert_eq!(stats.legacy, 0);
 }

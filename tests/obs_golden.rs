@@ -6,7 +6,10 @@
 //! function — parallel test threads in the same binary would race the
 //! counters otherwise.
 
-use lorentz::core::{LorentzConfig, LorentzPipeline, ModelKind, RecommendRequest, TrainedLorentz};
+use lorentz::core::{
+    LiveModel, LorentzConfig, LorentzPipeline, ModelKind, RecommendEngine, RecommendRequest,
+    StoreOnly, TrainedLorentz,
+};
 use lorentz::simdata::fleet::FleetConfig;
 use lorentz::types::{CustomerId, ResourceGroupId, ResourcePath, ServerOffering, SubscriptionId};
 use std::collections::BTreeMap;
@@ -53,8 +56,9 @@ fn run_scenario() -> TrainedLorentz {
     }
 
     let _ = trained.recommend(&request(&good, 0), ModelKind::Hierarchical);
-    let _ = trained.recommend_from_store(&request(&good, 1));
-    let _ = trained.recommend_from_store(&request(&unseen, 2));
+    let store = StoreOnly::new(&trained, trained.store(), None);
+    let _ = store.recommend_one(&request(&good, 1));
+    let _ = store.recommend_one(&request(&unseen, 2));
     let bad = vec![Some("wrong-arity")];
     let _ = trained.recommend(
         &RecommendRequest {
@@ -65,8 +69,8 @@ fn run_scenario() -> TrainedLorentz {
         ModelKind::TargetEncoding,
     );
     let batch = vec![request(&good, 4), request(&unseen, 5)];
-    let _ = trained.recommend_batch(&batch, ModelKind::Hierarchical);
-    let _ = trained.recommend_batch_from_store(&batch);
+    let _ = LiveModel::new(&trained, ModelKind::Hierarchical, None).recommend_many(&batch);
+    let _ = store.recommend_many(&batch);
     trained
 }
 

@@ -1,8 +1,8 @@
 //! Property-based tests of Algorithm 1 (message propagation), the λ
-//! adjustment (Eq. 13-14), and the live λ-table ([`LambdaStore`]) behind
-//! it.
+//! adjustment (Eq. 13-14), and the live λ-table ([`ShardedLambdaStore`])
+//! behind it.
 
-use lorentz::core::{LambdaStore, Personalizer, PersonalizerConfig, SatisfactionSignal};
+use lorentz::core::{Personalizer, PersonalizerConfig, SatisfactionSignal, ShardedLambdaStore};
 use lorentz::types::{
     CustomerId, ResourceGroupId, ResourcePath, ServerOffering, SkuCatalog, SubscriptionId,
 };
@@ -168,11 +168,11 @@ proptest! {
         prop_assert_eq!(sequential, batched);
     }
 
-    /// Delta/overlay replay is byte-identical to the legacy full-flatten
-    /// path: a follower applying only the published [`LambdaDelta`]s
-    /// reaches exactly the λ table a direct `Personalizer` holds — and so
-    /// does the leader's own generational-overlay epoch, merges and
-    /// compactions included.
+    /// Delta/overlay replay is byte-identical to a full flatten: a
+    /// one-shard follower applying only the published [`LambdaDelta`]s of a
+    /// four-shard leader reaches exactly the λ table a direct
+    /// `Personalizer` holds — and so does the leader's own
+    /// generational-overlay epoch, merges and compactions included.
     #[test]
     fn delta_replay_matches_full_flatten(
         cfg in config_strategy(),
@@ -189,22 +189,22 @@ proptest! {
             }
             p
         };
-        let leader = LambdaStore::new(build());
-        let follower = LambdaStore::new(build());
+        let leader = ShardedLambdaStore::new(build(), 4).unwrap();
+        let follower = ShardedLambdaStore::new(build(), 1).unwrap();
         let mut reference = build();
         for &(pi, oi, g) in &signals {
             let sig = SatisfactionSignal::new(paths[pi], ServerOffering::ALL[oi], g).unwrap();
             reference.apply_signal(&sig);
             leader.apply_signal(&sig);
-            let delta = follower.apply_delta(&leader.publish_delta());
+            let delta = follower.apply_delta(&leader.publish_delta_for(&paths[pi]));
             prop_assert!(delta.is_ok(), "leader epochs always advance the follower");
         }
-        let l = leader.snapshot();
-        let f = follower.snapshot();
-        prop_assert_eq!(f.version(), l.version());
+        prop_assert_eq!(follower.version(), leader.version());
         for (loc, off, lambda) in reference.iter() {
-            prop_assert_eq!(l.lambda(&loc, off).to_bits(), lambda.to_bits());
-            prop_assert_eq!(f.lambda(&loc, off).to_bits(), lambda.to_bits());
+            let l = leader.snapshot_for(&loc).lambda(&loc, off);
+            let f = follower.snapshot_for(&loc).lambda(&loc, off);
+            prop_assert_eq!(l.to_bits(), lambda.to_bits());
+            prop_assert_eq!(f.to_bits(), lambda.to_bits());
         }
     }
 
@@ -260,7 +260,7 @@ proptest! {
         for &loc in &paths {
             p.register(loc);
         }
-        let store = Arc::new(LambdaStore::new(p));
+        let store = Arc::new(ShardedLambdaStore::new(p, 1).unwrap());
         let done = Arc::new(AtomicBool::new(false));
         let origin = paths[0];
         let writer = {
@@ -271,7 +271,7 @@ proptest! {
                     SatisfactionSignal::new(origin, ServerOffering::GeneralPurpose, 1.0).unwrap();
                 for _ in 0..n_signals {
                     store.apply_signal(&sig);
-                    store.publish();
+                    store.publish_delta_for(&origin);
                 }
                 done.store(true, Ordering::Release);
             })
@@ -282,7 +282,7 @@ proptest! {
         let mut rounds = 0usize;
         while rounds < 2 || !done.load(Ordering::Acquire) {
             rounds += 1;
-            let snap = store.snapshot();
+            let snap = store.snapshot_for(&origin);
             prop_assert!(snap.version() >= last_version, "version went backwards");
             let l0 = snap.lambda(&paths[0], ServerOffering::ALL[0]);
             for loc in &paths {
@@ -307,7 +307,7 @@ proptest! {
         }
         writer.join().unwrap();
         prop_assert_eq!(store.version(), 1 + n_signals as u64);
-        let final_snap = store.snapshot();
+        let final_snap = store.snapshot_for(&origin);
         let expect = n_signals as f64 * step;
         prop_assert_eq!(
             final_snap.lambda(&paths[n_paths - 1], ServerOffering::MemoryOptimized),

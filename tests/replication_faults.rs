@@ -8,6 +8,8 @@
 
 #![cfg(feature = "fault-injection")]
 
+mod common;
+
 use lorentz::core::{LorentzConfig, LorentzPipeline, SatisfactionSignal, TrainedLorentz};
 use lorentz::fault::{registry, FailAction, Trigger};
 use lorentz::serve::{
@@ -52,9 +54,7 @@ fn signal(gamma: f64) -> SatisfactionSignal {
 
 #[test]
 fn torn_replication_send_is_survived_by_reconnect_and_resume() {
-    let dir = std::env::temp_dir().join(format!("lorentz-repl-fault-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = common::scratch_dir("repl-fault");
     let wal = dir.join("leader.wal");
     let local = dir.join("replica.wal");
 

@@ -2,9 +2,11 @@
 //! torn-read freedom under concurrent publish, graceful-drain accounting,
 //! backpressure, deadlines, and degraded mode.
 
+mod common;
+
 use lorentz::core::store::PublishBatch;
 use lorentz::core::{
-    LorentzConfig, LorentzPipeline, SatisfactionSignal, SharedPredictionStore, TrainedLorentz,
+    LorentzConfig, LorentzPipeline, SatisfactionSignal, ShardedPredictionStore, TrainedLorentz,
 };
 use lorentz::serve::{ServeConfig, ServeError, ServeRequest, ServingEngine};
 use lorentz::simdata::fleet::FleetConfig;
@@ -56,7 +58,7 @@ fn request(deployment: &TrainedLorentz, id: u64) -> ServeRequest {
 /// Publishes `n_keys` entries that ALL carry the same capacity `c` (plus a
 /// matching default), so any mix of two store versions in one batched
 /// lookup shows up as unequal capacities.
-fn publish_uniform(store: &SharedPredictionStore, n_keys: usize, c: f64) -> u64 {
+fn publish_uniform(store: &ShardedPredictionStore, n_keys: usize, c: f64) -> u64 {
     let offering = ServerOffering::GeneralPurpose;
     store
         .publish(PublishBatch {
@@ -71,8 +73,8 @@ fn publish_uniform(store: &SharedPredictionStore, n_keys: usize, c: f64) -> u64 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A `lookup_batch` racing an arbitrary stream of publishes always
-    /// observes a single consistent store version: every capacity in one
+    /// A `lookup_batch` on a one-shard store racing an arbitrary stream of
+    /// publishes always observes a single consistent store version: every capacity in one
     /// batch is identical (all versions write uniform values, so a torn
     /// read would mix them), and the version sequence readers observe is
     /// monotone.
@@ -81,7 +83,7 @@ proptest! {
         n_keys in 1usize..6,
         n_publishes in 1usize..24,
     ) {
-        let store = Arc::new(SharedPredictionStore::new());
+        let store = Arc::new(ShardedPredictionStore::new(1).unwrap());
         publish_uniform(&store, n_keys, 1.0);
         let done = Arc::new(AtomicBool::new(false));
         let publisher = {
@@ -351,12 +353,7 @@ fn feedback_shifts_recommendations_without_model_reload() {
 fn feedback_wal_replays_lambda_on_restart() {
     let deployment = deployment();
     let hot = registered_path(&deployment);
-    let wal_path = std::env::temp_dir().join(format!(
-        "lorentz-serve-wal-{}-{:?}.log",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_file(&wal_path);
+    let wal_path = common::scratch_dir("serve-wal").join("signals.wal");
 
     let signal = SatisfactionSignal::new(hot, ServerOffering::GeneralPurpose, 1.0).unwrap();
     let learned = {

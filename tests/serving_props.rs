@@ -1,7 +1,10 @@
 //! Property-based tests of the typed-key serving engine: packed store-key
 //! round trips and batched-vs-single recommend equivalence on random fleets.
 
-use lorentz::core::{LorentzConfig, LorentzPipeline, ModelKind, RecommendRequest};
+use lorentz::core::{
+    LiveModel, LorentzConfig, LorentzPipeline, ModelKind, RecommendEngine, RecommendRequest,
+    StoreOnly, TrainedLorentz,
+};
 use lorentz::simdata::fleet::FleetConfig;
 use lorentz::types::{
     CustomerId, FeatureId, ResourceGroupId, ResourcePath, ServerOffering, StoreKey, SubscriptionId,
@@ -12,6 +15,16 @@ use proptest::prelude::*;
 fn offering() -> impl Strategy<Value = ServerOffering> {
     (0u64..ServerOffering::ALL.len() as u64)
         .prop_map(|c| ServerOffering::from_code(c as u8).unwrap())
+}
+
+/// The live-model engine over `trained`'s batch personalizer.
+fn live(trained: &TrainedLorentz, kind: ModelKind) -> LiveModel<'_> {
+    LiveModel::new(trained, kind, None)
+}
+
+/// The engine over `trained`'s own prediction store.
+fn store(trained: &TrainedLorentz) -> StoreOnly<'_> {
+    StoreOnly::new(trained, trained.store(), None)
 }
 
 proptest! {
@@ -107,7 +120,7 @@ proptest! {
             .collect();
 
         for kind in [ModelKind::Hierarchical, ModelKind::TargetEncoding] {
-            let batched = trained.recommend_batch(&requests, kind);
+            let batched = live(&trained, kind).recommend_many(&requests);
             prop_assert_eq!(batched.len(), requests.len());
             for (r, b) in requests.iter().zip(&batched) {
                 match (trained.recommend(r, kind), b) {
@@ -117,10 +130,10 @@ proptest! {
                 }
             }
         }
-        let batched = trained.recommend_batch_from_store(&requests);
+        let batched = store(&trained).recommend_many(&requests);
         prop_assert_eq!(batched.len(), requests.len());
         for (r, b) in requests.iter().zip(&batched) {
-            match (trained.recommend_from_store(r), b) {
+            match (store(&trained).recommend_one(r), b) {
                 (Ok(single), Ok(batch)) => prop_assert_eq!(&single, batch),
                 (Err(_), Err(_)) => {}
                 (s, b) => prop_assert!(false, "single={s:?} batch={b:?}"),
@@ -131,7 +144,7 @@ proptest! {
 
 /// A small trained pipeline plus one profile drawn from its own vocabulary,
 /// shared by the batch edge-case tests below.
-fn tiny_trained() -> (lorentz::core::TrainedLorentz, Vec<Option<String>>) {
+fn tiny_trained() -> (TrainedLorentz, Vec<Option<String>>) {
     let fleet = FleetConfig {
         n_servers: 80,
         seed: 424242,
@@ -169,9 +182,9 @@ fn empty_batch_serves_zero_results() {
     let (trained, _) = tiny_trained();
     let requests: Vec<RecommendRequest<'_>> = Vec::new();
     for kind in [ModelKind::Hierarchical, ModelKind::TargetEncoding] {
-        assert!(trained.recommend_batch(&requests, kind).is_empty());
+        assert!(live(&trained, kind).recommend_many(&requests).is_empty());
     }
-    assert!(trained.recommend_batch_from_store(&requests).is_empty());
+    assert!(store(&trained).recommend_many(&requests).is_empty());
 }
 
 #[test]
@@ -179,18 +192,18 @@ fn single_element_batch_equals_single_request() {
     let (trained, profile) = tiny_trained();
     let requests = vec![request_at(&profile, 0)];
     for kind in [ModelKind::Hierarchical, ModelKind::TargetEncoding] {
-        let batched = trained.recommend_batch(&requests, kind);
+        let batched = live(&trained, kind).recommend_many(&requests);
         assert_eq!(batched.len(), 1);
         assert_eq!(
             batched[0].as_ref().unwrap(),
             &trained.recommend(&requests[0], kind).unwrap()
         );
     }
-    let batched = trained.recommend_batch_from_store(&requests);
+    let batched = store(&trained).recommend_many(&requests);
     assert_eq!(batched.len(), 1);
     assert_eq!(
         batched[0].as_ref().unwrap(),
-        &trained.recommend_from_store(&requests[0]).unwrap()
+        &store(&trained).recommend_one(&requests[0]).unwrap()
     );
 }
 
@@ -202,14 +215,14 @@ fn duplicate_profile_batch_repeats_the_single_answer() {
     let requests: Vec<RecommendRequest<'_>> = (0..8).map(|_| request_at(&profile, 3)).collect();
     for kind in [ModelKind::Hierarchical, ModelKind::TargetEncoding] {
         let single = trained.recommend(&requests[0], kind).unwrap();
-        let batched = trained.recommend_batch(&requests, kind);
+        let batched = live(&trained, kind).recommend_many(&requests);
         assert_eq!(batched.len(), requests.len());
         for b in &batched {
             assert_eq!(b.as_ref().unwrap(), &single);
         }
     }
-    let single = trained.recommend_from_store(&requests[0]).unwrap();
-    for b in &trained.recommend_batch_from_store(&requests) {
+    let single = store(&trained).recommend_one(&requests[0]).unwrap();
+    for b in &store(&trained).recommend_many(&requests) {
         assert_eq!(b.as_ref().unwrap(), &single);
     }
 }

@@ -1,12 +1,12 @@
 //! Property-based concurrency tests for the sharded serving state: shard
 //! routing totality/stability, sharded ≡ unsharded lookup equivalence for
 //! arbitrary key sets, torn-read freedom under racing per-shard publishes,
-//! and sharded ≡ flat λ equivalence under random signal streams.
+//! and N-shard ≡ one-shard λ equivalence under random signal streams.
 
 use lorentz::core::store::PublishBatch;
 use lorentz::core::{
-    LambdaStore, Personalizer, PersonalizerConfig, PredictionStore, SatisfactionSignal,
-    ShardedLambdaStore, ShardedPredictionStore,
+    Personalizer, PersonalizerConfig, PredictionStore, SatisfactionSignal, ShardedLambdaStore,
+    ShardedPredictionStore,
 };
 use lorentz::types::{
     CustomerId, FeatureId, ResourceGroupId, ResourcePath, ServerOffering, ShardRouter, StoreKey,
@@ -208,11 +208,12 @@ proptest! {
         prop_assert_eq!(store.version(), 1 + n_publishes as u64);
     }
 
-    /// Sharded λ serving ≡ the flat λ store under an arbitrary signal
+    /// N-shard λ serving ≡ one-shard λ serving under an arbitrary signal
     /// stream: after each publish, every affected customer reads the same
-    /// λ through `snapshot_for` as through the flat snapshot.
+    /// λ through `snapshot_for` at any shard count, and both stores mint
+    /// the same global epochs.
     #[test]
-    fn sharded_lambdas_match_flat_under_random_signals(
+    fn sharded_lambdas_match_one_shard_under_random_signals(
         signals in collection::vec((0u32..24, -1.0f64..=1.0), 1..16),
         shards in shard_count(),
     ) {
@@ -226,17 +227,19 @@ proptest! {
                 ));
             }
         }
-        let flat = LambdaStore::new(personalizer.clone());
+        let one = ShardedLambdaStore::new(personalizer.clone(), 1).unwrap();
         let sharded = ShardedLambdaStore::new(personalizer, shards).unwrap();
         for (customer, gamma) in signals {
             let path =
                 ResourcePath::new(CustomerId(customer), SubscriptionId(0), ResourceGroupId(0));
             let signal =
                 SatisfactionSignal::new(path, ServerOffering::GeneralPurpose, gamma).unwrap();
-            flat.apply_signal(&signal);
+            one.apply_signal(&signal);
             sharded.apply_signal(&signal);
-            flat.publish();
-            sharded.publish_delta_for(&path);
+            prop_assert_eq!(
+                one.publish_delta_for(&path),
+                sharded.publish_delta_for(&path)
+            );
             for rg in 0..3 {
                 let probe =
                     ResourcePath::new(CustomerId(customer), SubscriptionId(0), ResourceGroupId(rg));
@@ -244,7 +247,7 @@ proptest! {
                     sharded
                         .snapshot_for(&probe)
                         .lambda(&probe, ServerOffering::GeneralPurpose),
-                    flat.snapshot().lambda(&probe, ServerOffering::GeneralPurpose)
+                    one.snapshot_for(&probe).lambda(&probe, ServerOffering::GeneralPurpose)
                 );
             }
         }

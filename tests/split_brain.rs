@@ -6,6 +6,8 @@
 //! the demotion path (a promoted leader observing an even higher term)
 //! and idempotent re-delivery accounting.
 
+mod common;
+
 use lorentz::core::personalizer::WalRecord;
 use lorentz::core::{LorentzConfig, LorentzPipeline, SatisfactionSignal, TrainedLorentz};
 use lorentz::serve::{
@@ -45,14 +47,6 @@ fn deployment() -> Arc<TrainedLorentz> {
         .clone()
 }
 
-fn scratch_dir(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("lorentz-split-brain-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn hot_path() -> ResourcePath {
     ResourcePath::new(CustomerId(7), SubscriptionId(8), ResourceGroupId(9))
 }
@@ -83,7 +77,7 @@ fn wait_until(what: &str, timeout: Duration, mut done: impl FnMut() -> bool) {
 
 #[test]
 fn healed_partition_fences_the_old_leader_leaving_exactly_one() {
-    let dir = scratch_dir("fence");
+    let dir = common::scratch_dir("split-brain-fence");
     let wal = dir.join("leader.wal");
     let (leader, _responses, repl) =
         ServingEngine::start_with_wal(deployment(), ServeConfig::default(), &wal)
@@ -235,7 +229,7 @@ fn healed_partition_fences_the_old_leader_leaving_exactly_one() {
 
 #[test]
 fn promoted_leader_observing_a_higher_term_demotes_but_keeps_reads() {
-    let dir = scratch_dir("demote");
+    let dir = common::scratch_dir("split-brain-demote");
     let wal = dir.join("leader.wal");
     let (leader, _responses, mut repl) =
         ServingEngine::start_with_wal(deployment(), ServeConfig::default(), &wal)

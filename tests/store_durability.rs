@@ -2,6 +2,8 @@
 //! fallback order, and write retries — all without the `fault-injection`
 //! feature, by corrupting the persisted files directly.
 
+mod common;
+
 use lorentz::core::retry::RetryPolicy;
 use lorentz::core::store::PublishBatch;
 use lorentz::core::{DurableStore, PredictionStore, StoreError};
@@ -9,13 +11,6 @@ use lorentz::fault::{RealIo, SnapshotIo};
 use lorentz::types::{FeatureId, ServerOffering, StoreCorruption, StoreKey, ValueId};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lorentz-durable-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn sample_store(capacity: f64) -> PredictionStore {
     let mut store = PredictionStore::new();
@@ -61,7 +56,7 @@ fn assert_falls_back(durable: &DurableStore, check: impl Fn(&StoreCorruption) ->
 
 #[test]
 fn truncated_payload_falls_back() {
-    let dir = tmp_dir("truncated");
+    let dir = common::scratch_dir("durable-truncated");
     let durable = two_generations(&dir);
     let path = gen_file(&dir, 2);
     let bytes = std::fs::read(&path).unwrap();
@@ -72,7 +67,7 @@ fn truncated_payload_falls_back() {
 
 #[test]
 fn truncation_into_the_header_falls_back() {
-    let dir = tmp_dir("header-truncated");
+    let dir = common::scratch_dir("durable-header-truncated");
     let durable = two_generations(&dir);
     let path = gen_file(&dir, 2);
     let bytes = std::fs::read(&path).unwrap();
@@ -85,7 +80,7 @@ fn truncation_into_the_header_falls_back() {
 
 #[test]
 fn crc_mismatch_falls_back() {
-    let dir = tmp_dir("crc");
+    let dir = common::scratch_dir("durable-crc");
     let durable = two_generations(&dir);
     let path = gen_file(&dir, 2);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -100,7 +95,7 @@ fn crc_mismatch_falls_back() {
 
 #[test]
 fn bad_magic_falls_back() {
-    let dir = tmp_dir("magic");
+    let dir = common::scratch_dir("durable-magic");
     let durable = two_generations(&dir);
     let path = gen_file(&dir, 2);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -115,7 +110,7 @@ fn bad_magic_falls_back() {
 
 #[test]
 fn unknown_format_version_falls_back() {
-    let dir = tmp_dir("version");
+    let dir = common::scratch_dir("durable-version");
     let durable = two_generations(&dir);
     let path = gen_file(&dir, 2);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -130,7 +125,7 @@ fn unknown_format_version_falls_back() {
 
 #[test]
 fn manifest_pointing_at_missing_generation_falls_back() {
-    let dir = tmp_dir("missing-gen");
+    let dir = common::scratch_dir("durable-missing-gen");
     let durable = two_generations(&dir);
     std::fs::remove_file(gen_file(&dir, 2)).unwrap();
     assert_falls_back(&durable, |c| {
@@ -141,7 +136,7 @@ fn manifest_pointing_at_missing_generation_falls_back() {
 
 #[test]
 fn valid_payload_bytes_that_are_not_a_store_fall_back() {
-    let dir = tmp_dir("bad-payload");
+    let dir = common::scratch_dir("durable-bad-payload");
     let durable = two_generations(&dir);
     // A perfectly framed file whose payload is not a store snapshot: the
     // frame passes, deserialization must still be treated as corruption.
@@ -153,7 +148,7 @@ fn valid_payload_bytes_that_are_not_a_store_fall_back() {
 
 #[test]
 fn corrupt_manifest_recovers_via_directory_scan() {
-    let dir = tmp_dir("bad-manifest");
+    let dir = common::scratch_dir("durable-bad-manifest");
     let durable = two_generations(&dir);
     std::fs::write(dir.join("store.manifest.json"), "{definitely not json").unwrap();
     let recovered = durable.load().expect("dir scan must recover");
@@ -172,7 +167,7 @@ fn corrupt_manifest_recovers_via_directory_scan() {
 
 #[test]
 fn every_generation_corrupt_is_unrecoverable() {
-    let dir = tmp_dir("unrecoverable");
+    let dir = common::scratch_dir("durable-unrecoverable");
     let durable = two_generations(&dir);
     for generation in [1, 2] {
         std::fs::write(gen_file(&dir, generation), b"garbage").unwrap();
@@ -187,7 +182,7 @@ fn every_generation_corrupt_is_unrecoverable() {
 
 #[test]
 fn round_trip_preserves_store_contents() {
-    let dir = tmp_dir("round-trip");
+    let dir = common::scratch_dir("durable-round-trip");
     let durable = two_generations(&dir);
     let recovered = durable.load().unwrap();
     assert_eq!(recovered.generation, 2);
@@ -233,7 +228,7 @@ impl SnapshotIo for FlakyIo {
 
 #[test]
 fn transient_write_errors_are_retried() {
-    let dir = tmp_dir("flaky");
+    let dir = common::scratch_dir("durable-flaky");
     let fast_retry = RetryPolicy {
         base_delay: std::time::Duration::from_micros(50),
         max_delay: std::time::Duration::from_micros(200),
@@ -256,7 +251,7 @@ fn transient_write_errors_are_retried() {
 
 #[test]
 fn persistent_write_errors_surface_as_io_errors() {
-    let dir = tmp_dir("dead-disk");
+    let dir = common::scratch_dir("durable-dead-disk");
     let durable = DurableStore::with_io(
         &dir,
         Box::new(FlakyIo {

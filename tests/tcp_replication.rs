@@ -3,6 +3,8 @@
 //! a follower that loses the leader past the detection timeout promotes
 //! itself — exactly once across racing standbys — and keeps serving.
 
+mod common;
+
 use lorentz::core::personalizer::WalRecord;
 use lorentz::core::{
     LorentzConfig, LorentzPipeline, SatisfactionSignal, SignalWal, TrainedLorentz,
@@ -41,13 +43,6 @@ fn deployment() -> Arc<TrainedLorentz> {
             )
         })
         .clone()
-}
-
-fn scratch_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("lorentz-tcp-repl-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn hot_path() -> ResourcePath {
@@ -94,7 +89,7 @@ fn leader_lambda(leader: &ServingEngine) -> f64 {
 
 #[test]
 fn tcp_follower_serves_lambda_byte_identical_to_file_follower() {
-    let dir = scratch_dir("equivalence");
+    let dir = common::scratch_dir("tcp-repl-equivalence");
     let wal = dir.join("leader.wal");
     let (leader, _responses, repl) = start_leader(&wal);
     let addr = repl.local_addr().to_string();
@@ -134,7 +129,7 @@ fn tcp_follower_serves_lambda_byte_identical_to_file_follower() {
 
 #[test]
 fn restarted_tcp_follower_resumes_from_its_last_epoch() {
-    let dir = scratch_dir("resume");
+    let dir = common::scratch_dir("tcp-repl-resume");
     let wal = dir.join("leader.wal");
     let local = dir.join("replica.wal");
     let (leader, _responses, repl) = start_leader(&wal);
@@ -204,7 +199,7 @@ fn gapped_wal(dir: &std::path::Path) -> std::path::PathBuf {
 
 #[test]
 fn resume_from_a_present_epoch_replays_only_the_tail_across_gaps() {
-    let dir = scratch_dir("gaps");
+    let dir = common::scratch_dir("tcp-repl-gaps");
     let wal = gapped_wal(&dir);
     let (_leader, _responses, repl) = start_leader(&wal);
     let addr = repl.local_addr().to_string();
@@ -231,7 +226,7 @@ fn resume_from_a_present_epoch_replays_only_the_tail_across_gaps() {
 
 #[test]
 fn resume_from_a_compacted_epoch_forces_a_full_resync() {
-    let dir = scratch_dir("compacted");
+    let dir = common::scratch_dir("tcp-repl-compacted");
     let wal = gapped_wal(&dir);
     let (_leader, _responses, repl) = start_leader(&wal);
     let addr = repl.local_addr().to_string();
@@ -262,7 +257,7 @@ fn resume_from_a_compacted_epoch_forces_a_full_resync() {
 
 #[test]
 fn a_follower_ahead_of_the_leader_is_rejected_with_a_typed_error() {
-    let dir = scratch_dir("ahead");
+    let dir = common::scratch_dir("tcp-repl-ahead");
     let wal = gapped_wal(&dir);
     let (_leader, _responses, repl) = start_leader(&wal);
     let addr = repl.local_addr().to_string();
@@ -278,7 +273,7 @@ fn a_follower_ahead_of_the_leader_is_rejected_with_a_typed_error() {
 
 #[test]
 fn mid_handshake_disconnects_leave_the_leader_serving() {
-    let dir = scratch_dir("disconnect");
+    let dir = common::scratch_dir("tcp-repl-disconnect");
     let wal = gapped_wal(&dir);
     let (_leader, _responses, repl) = start_leader(&wal);
     let addr = repl.local_addr();
@@ -300,7 +295,7 @@ fn mid_handshake_disconnects_leave_the_leader_serving() {
 
 #[test]
 fn exactly_one_standby_promotes_and_the_loser_refollows_it() {
-    let dir = scratch_dir("promotion");
+    let dir = common::scratch_dir("tcp-repl-promotion");
     let wal = dir.join("leader.wal");
     let (leader, _responses, mut repl) = start_leader(&wal);
     let addr = repl.local_addr().to_string();

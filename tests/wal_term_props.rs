@@ -1,8 +1,10 @@
 //! Property-based tests of term-record WAL framing: any interleaving of
-//! term markers, delta records, and legacy bare signals survives a write →
-//! reopen round trip (recovery reports the true maxima), a log with no
-//! term markers recovers as term 0 (the legacy fallback), and a torn
-//! final frame never corrupts what precedes it.
+//! term markers and delta records survives a write → reopen round trip
+//! (recovery reports the true maxima), a log with no term markers
+//! recovers as term 0, and a torn final frame never corrupts what
+//! precedes it.
+
+mod common;
 
 use lorentz::core::personalizer::WalRecord;
 use lorentz::core::{SatisfactionSignal, SignalWal};
@@ -11,13 +13,9 @@ use lorentz::types::{
 };
 use proptest::prelude::*;
 
-fn scratch(name: &str, case: u64) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "lorentz-wal-term-props-{name}-{}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("case-{case}.wal"))
+/// A log path in a fresh scratch directory of its own.
+fn scratch(name: &str) -> std::path::PathBuf {
+    common::scratch_dir(&format!("wal-term-props-{name}")).join("signals.wal")
 }
 
 fn signal(gamma: f64) -> SatisfactionSignal {
@@ -25,14 +23,13 @@ fn signal(gamma: f64) -> SatisfactionSignal {
     SatisfactionSignal::new(path, ServerOffering::GeneralPurpose, gamma).unwrap()
 }
 
-/// One generated append: 0 = term marker, 1 = delta record, 2 = legacy
-/// bare signal. Terms and epochs take strictly increasing values from
-/// their own counters so the expected maxima are just the last minted.
+/// One generated append: 0 = term marker, 1 = delta record. Terms and
+/// epochs take strictly increasing values from their own counters so the
+/// expected maxima are just the last minted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Append {
     Term,
     Record,
-    Legacy,
 }
 
 fn write_script(path: &std::path::Path, script: &[Append]) -> (u64, u64) {
@@ -65,41 +62,33 @@ fn write_script(path: &std::path::Path, script: &[Append]) -> (u64, u64) {
                 };
                 wal.append_record(&record).unwrap();
             }
-            Append::Legacy => {
-                wal.append(&signal(-0.5)).unwrap();
-            }
         }
     }
     (term, epoch)
 }
 
+fn to_script(raw: &[u8]) -> Vec<Append> {
+    raw.iter()
+        .map(|&k| if k == 0 { Append::Term } else { Append::Record })
+        .collect()
+}
+
 proptest! {
     /// Reopening any interleaving recovers the exact maxima: the highest
-    /// minted term (0 when no marker was ever written — the legacy
-    /// fallback) and the highest delta epoch, with no torn tail.
+    /// minted term (0 when no marker was ever written) and the highest
+    /// delta epoch, with no torn tail.
     #[test]
-    fn recovery_reports_the_maxima(
-        raw in collection::vec(0u8..3, 0..24),
-        case in any::<u64>(),
-    ) {
-        let script: Vec<Append> = raw
-            .iter()
-            .map(|k| match k {
-                0 => Append::Term,
-                1 => Append::Record,
-                _ => Append::Legacy,
-            })
-            .collect();
-        let path = scratch("maxima", case);
+    fn recovery_reports_the_maxima(raw in collection::vec(0u8..2, 0..24)) {
+        let script = to_script(&raw);
+        let path = scratch("maxima");
         let (want_term, want_epoch) = write_script(&path, &script);
 
         let (_wal, recovery) = SignalWal::open(&path).unwrap();
         prop_assert_eq!(recovery.last_term, want_term);
         prop_assert_eq!(recovery.last_epoch, want_epoch);
         prop_assert_eq!(recovery.torn_tail_bytes, 0);
-        let legacy = script.iter().filter(|s| **s == Append::Legacy).count();
         let records = script.iter().filter(|s| **s == Append::Record).count();
-        prop_assert_eq!(recovery.signals.len(), legacy + records);
+        prop_assert_eq!(recovery.signals.len(), records);
 
         // The read-only verifier agrees frame by frame: term markers
         // surface their term, records their epoch.
@@ -110,7 +99,7 @@ proptest! {
             report.records.iter().filter_map(|r| r.term).collect();
         prop_assert_eq!(verified_terms.len() as u64, want_term);
         prop_assert_eq!(verified_terms.iter().max().copied().unwrap_or(0), want_term);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     /// Cutting the log anywhere strictly inside its final frame loses
@@ -118,21 +107,13 @@ proptest! {
     /// the torn bytes are reported, never silently kept.
     #[test]
     fn torn_final_frame_falls_back_to_the_intact_prefix(
-        raw in collection::vec(0u8..3, 1..12),
+        raw in collection::vec(0u8..2, 1..12),
         cut_seed in any::<u64>(),
-        case in any::<u64>(),
     ) {
-        let script: Vec<Append> = raw
-            .iter()
-            .map(|k| match k {
-                0 => Append::Term,
-                1 => Append::Record,
-                _ => Append::Legacy,
-            })
-            .collect();
-        let full = scratch("torn-full", case);
+        let script = to_script(&raw);
+        let full = scratch("torn-full");
         write_script(&full, &script);
-        let prefix = scratch("torn-prefix", case);
+        let prefix = scratch("torn-prefix");
         write_script(&prefix, &script[..script.len() - 1]);
 
         let full_len = std::fs::metadata(&full).unwrap().len();
@@ -142,7 +123,7 @@ proptest! {
         // of it so there is genuinely a torn tail to discard).
         let cut = prefix_len + 1 + cut_seed % (full_len - prefix_len - 1).max(1);
 
-        let torn = scratch("torn-cut", case);
+        let torn = scratch("torn-cut");
         let mut bytes = std::fs::read(&full).unwrap();
         bytes.truncate(cut as usize);
         std::fs::write(&torn, &bytes).unwrap();
@@ -157,7 +138,7 @@ proptest! {
         // intact prefix byte for byte.
         prop_assert_eq!(std::fs::read(&torn).unwrap(), std::fs::read(&prefix).unwrap());
         for p in [&full, &prefix, &torn] {
-            let _ = std::fs::remove_file(p);
+            let _ = std::fs::remove_dir_all(p.parent().unwrap());
         }
     }
 }
