@@ -5,7 +5,7 @@
 //! are rejected for any generated instance, not just the handful of
 //! fixtures in the unit tests.
 
-use lorentz::types::Endpoint;
+use lorentz::types::{Endpoint, LorentzError};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -105,5 +105,76 @@ fn empty_and_schemeless_forms_are_rejected() {
         "udp://h:7",
     ] {
         assert!(Endpoint::parse(s).is_err(), "{s:?} must not parse");
+    }
+}
+
+#[test]
+fn unsupported_schemes_are_named_in_the_error() {
+    for (s, scheme) in [
+        ("udp://h:7", "udp"),
+        ("http://h:80", "http"),
+        ("tcp6://h:7", "tcp6"),
+    ] {
+        let err = Endpoint::parse(s).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(&format!("unsupported endpoint scheme '{scheme}'")),
+            "{s}: {err}"
+        );
+    }
+}
+
+#[test]
+fn every_parse_error_is_an_invalid_config() {
+    for s in [
+        "",
+        "relative/path.wal",
+        "/abs/path.wal",
+        "file:",
+        "tcp://h",
+        "tcp://h:x",
+        "ftp://h:1",
+    ] {
+        let err = Endpoint::parse(s).unwrap_err();
+        assert!(
+            matches!(err, LorentzError::InvalidConfig(_)),
+            "{s:?}: {err:?}"
+        );
+    }
+}
+
+#[test]
+fn surrounding_whitespace_is_ignored() {
+    assert_eq!(
+        Endpoint::parse("  tcp://standby:7400 \n").unwrap(),
+        Endpoint::Tcp("standby:7400".to_owned())
+    );
+    assert_eq!(
+        Endpoint::parse("\tfile:/var/lorentz/signals.wal ").unwrap(),
+        Endpoint::File(PathBuf::from("/var/lorentz/signals.wal"))
+    );
+}
+
+#[test]
+fn trailing_slashes_on_tcp_authorities_are_dropped() {
+    let ep = Endpoint::parse("tcp://standby:7400/").unwrap();
+    assert_eq!(ep.as_tcp(), Some("standby:7400"));
+    assert_eq!(ep.to_string(), "tcp://standby:7400");
+    assert_eq!(Endpoint::parse("tcp://standby:7400//").unwrap(), ep);
+}
+
+#[test]
+fn file_endpoints_keep_relative_and_absolute_paths() {
+    for (s, p) in [
+        ("file:replica.wal", "replica.wal"),
+        ("file:dir/replica.wal", "dir/replica.wal"),
+        ("file://dir/replica.wal", "dir/replica.wal"),
+        ("file:/abs/replica.wal", "/abs/replica.wal"),
+        ("file:///abs/replica.wal", "/abs/replica.wal"),
+    ] {
+        let ep = Endpoint::parse(s).unwrap();
+        assert_eq!(ep.as_file(), Some(&PathBuf::from(p)), "{s}");
+        assert_eq!(ep.as_tcp(), None);
+        assert_eq!(Endpoint::parse(&ep.to_string()).unwrap(), ep, "{s}");
     }
 }
