@@ -1,21 +1,35 @@
-//! Fault injection on the TCP front end, driven by the `serve.net.*` fail
-//! points: a server killed mid-response leaves the client with a clean
-//! truncated-frame error (never a corrupt-but-complete frame), a refused
-//! accept is contained, and the engine ledger closes exactly either way.
+//! Faults on the TCP front end. A frame nested past the JSON reader's
+//! depth cap gets a typed error, never a stack overflow that takes the
+//! server down. Driven by the `serve.net.*` fail points: a server killed
+//! mid-response leaves the client with a clean truncated-frame error
+//! (never a corrupt-but-complete frame), a refused accept is contained,
+//! and the engine ledger closes exactly either way.
 //!
-//! Run with `cargo test --features fault-injection --test serve_net_faults`.
-
-#![cfg(feature = "fault-injection")]
+//! The fail-point tests need the feature: run them with
+//! `cargo test --features fault-injection --test serve_net_faults`.
 
 use lorentz::core::{LorentzConfig, LorentzPipeline, TrainedLorentz};
+#[cfg(feature = "fault-injection")]
 use lorentz::fault::{registry, FailAction, Trigger};
-use lorentz::serve::wire::{read_frame, write_frame, WireError};
+#[cfg(feature = "fault-injection")]
+use lorentz::serve::wire::WireError;
+use lorentz::serve::wire::{read_frame, write_frame};
 use lorentz::serve::{serve_net, NetConfig, NetReport, ServeConfig, ServingEngine};
 use lorentz::simdata::fleet::FleetConfig;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
+#[cfg(feature = "fault-injection")]
 use std::time::Duration;
+
+/// The fail-point registry is process-wide, so a fault armed by one test
+/// would fire on another test's server: the tests here run one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn deployment() -> Arc<TrainedLorentz> {
     static DEPLOYMENT: OnceLock<Arc<TrainedLorentz>> = OnceLock::new();
@@ -71,8 +85,39 @@ fn drain(addr: SocketAddr, server: JoinHandle<NetReport>) -> NetReport {
     server.join().unwrap()
 }
 
+/// A 100 KB frame of `[` is well under the 1 MiB frame cap. Read without a
+/// depth cap, it overflows the reader thread's stack and aborts the whole
+/// process.
+#[test]
+fn a_frame_nested_past_the_depth_cap_is_malformed_and_the_server_survives() {
+    let _serial = serial();
+    let (addr, server) = start_server();
+    let mut stream = connect(addr);
+    write_frame(&mut stream, "[".repeat(100_000).as_bytes()).unwrap();
+    let payload = read_frame(&mut stream, 1 << 20).unwrap();
+    let error = serde_json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
+    assert_eq!(
+        error.get_field("kind").and_then(|v| v.as_str()),
+        Some("malformed"),
+        "{error:?}"
+    );
+    // The same connection, on the same server, still serves.
+    write_frame(
+        &mut stream,
+        b"{\"id\": 1, \"profile\": {}, \"customer\": 1}",
+    )
+    .unwrap();
+    let payload = read_frame(&mut stream, 1 << 20).unwrap();
+    assert!(String::from_utf8(payload).unwrap().contains("\"ok\""));
+    let report = drain(addr, server);
+    assert_eq!(report.frame_errors, 1);
+    assert_eq!(report.engine.answered, 1);
+}
+
+#[cfg(feature = "fault-injection")]
 #[test]
 fn kill_mid_response_leaves_client_a_clean_error_and_ledger_exact() {
+    let _serial = serial();
     let (addr, server) = start_server();
     // The first response write is torn at 50% and the connection killed —
     // the server falling over mid-response, as the client sees it.
@@ -111,8 +156,10 @@ fn kill_mid_response_leaves_client_a_clean_error_and_ledger_exact() {
     assert_eq!(report.disconnects, 1);
 }
 
+#[cfg(feature = "fault-injection")]
 #[test]
 fn refused_accept_is_contained_and_later_connections_serve() {
+    let _serial = serial();
     let (addr, server) = start_server();
     registry().configure("serve.net.accept", Trigger::Once, FailAction::Error);
     // The refused connection is simply dropped by the server; the client
